@@ -56,7 +56,6 @@ from .mcts import (
     IterationLog,
     MctsParams,
     SearchNode,
-    WalkResult,
     apply_transfer,
     backpropagate,
     detect_convergence,
@@ -77,7 +76,6 @@ from .reports import (
     write_log,
 )
 from .reward import (
-    EvalRecord,
     RewardParams,
     TargetState,
     penalty_filter,
@@ -85,7 +83,7 @@ from .reward import (
     reward,
     speedup,
 )
-from .session import Budget, ResultRecord, SearchSession, SimulatedClock
+from .session import Budget, EvalRecord, SearchSession, SimulatedClock
 from .space import (
     SpaceNode,
     SpaceParams,

@@ -2,7 +2,7 @@
 
 All three share the session's budget accounting and evaluation cache
 with the tree search, measure the root first, and return the best
-record plus the history.
+record plus every fresh evaluation's record.
 """
 
 from __future__ import annotations
@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, Sized
 
 from .loops import LoopNest
-from .reward import EvalRecord
-from .session import SearchSession
-from .space import SpaceParams, child, child_count, random_walk, root_node
+from .session import EvalRecord, SearchSession
+from .space import SpaceNode, SpaceParams, child, child_count, random_walk, root_node
 
 
 def random_search(
@@ -33,12 +34,31 @@ def random_search(
     while not session.out_of_budget():
         session.count_iteration()
         node = random_walk(start, rng.randint(1, params.d_max), rng, params)
-        measured = session.measure(node.config, phase=0)
-        if measured is None:
+        if session.measure(node.config, phase=0) is None:
             break
-        if measured.record is not None:
-            session.log(measured.record, None)
-    return session.best, session.history
+    return session.best, session.records
+
+
+def _expand_all(
+    session: SearchSession,
+    params: SpaceParams,
+    frontier: Sized,
+    pop: Callable[[], SpaceNode],
+    push: Callable[[SpaceNode, EvalRecord], None],
+) -> tuple[EvalRecord, list[EvalRecord]]:
+    """Pop a node, measure all its children in index order, offer each to ``push``."""
+    while frontier and not session.out_of_budget():
+        node = pop()
+        for index in range(child_count(node, params)):
+            if session.out_of_budget():
+                return session.best, session.records
+            session.count_iteration()
+            successor = child(node, index, params)
+            measured = session.measure(successor.config, phase=0)
+            if measured is None:
+                return session.best, session.records
+            push(successor, measured[0])
+    return session.best, session.records
 
 
 def breadth_first(
@@ -53,20 +73,9 @@ def breadth_first(
     """
     session.evaluate_root()
     queue = deque([root_node(nest)])
-    while queue and not session.out_of_budget():
-        node = queue.popleft()
-        for index in range(child_count(node, params)):
-            if session.out_of_budget():
-                return session.best, session.history
-            session.count_iteration()
-            successor = child(node, index, params)
-            measured = session.measure(successor.config, phase=0)
-            if measured is None:
-                return session.best, session.history
-            if measured.record is not None:
-                session.log(measured.record, None)
-            queue.append(successor)
-    return session.best, session.history
+    return _expand_all(
+        session, params, queue, queue.popleft, lambda node, _: queue.append(node)
+    )
 
 
 def global_greedy(
@@ -81,21 +90,11 @@ def global_greedy(
     so their subtrees are abandoned.
     """
     root_record = session.evaluate_root()
-    counter = 0
-    heap: list[tuple[float, int, object]] = [(-root_record.h, counter, root_node(nest))]
-    while heap and not session.out_of_budget():
-        _, _, node = heappop(heap)
-        for index in range(child_count(node, params)):
-            if session.out_of_budget():
-                return session.best, session.history
-            session.count_iteration()
-            successor = child(node, index, params)
-            measured = session.measure(successor.config, phase=0)
-            if measured is None:
-                return session.best, session.history
-            if measured.record is not None:
-                session.log(measured.record, None)
-            if measured.h is not None:
-                counter += 1
-                heappush(heap, (-measured.h, counter, successor))
-    return session.best, session.history
+    order = count()
+    heap: list[tuple[float, int, SpaceNode]] = [(-root_record.h, next(order), root_node(nest))]
+
+    def push(node: SpaceNode, record: EvalRecord) -> None:
+        if record.h is not None:
+            heappush(heap, (-record.h, next(order), node))
+
+    return _expand_all(session, params, heap, lambda: heappop(heap)[2], push)

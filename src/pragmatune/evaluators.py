@@ -212,14 +212,12 @@ class CachedEvaluator:
     """Memoize an evaluator by configuration key; failures cache too.
 
     ``unique_count`` is the number of distinct configurations measured,
-    ``calls`` the number of times the inner evaluator actually ran
-    (equal by construction, kept separate so tests can prove it).
+    which is also how many times the inner evaluator ran.
     """
 
     def __init__(self, inner: Evaluator):
         self._inner = inner
         self._outcomes: dict[str, Outcome] = {}
-        self.calls = 0
 
     @property
     def unique_count(self) -> int:
@@ -231,7 +229,6 @@ class CachedEvaluator:
     def evaluate(self, config: Configuration) -> Outcome:
         key = config.key
         if key not in self._outcomes:
-            self.calls += 1
             self._outcomes[key] = self._inner(config)
         return self._outcomes[key]
 

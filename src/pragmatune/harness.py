@@ -2,7 +2,7 @@
 
 An experiment file is JSON (``version`` 1) naming the nest description,
 the evaluator, the method, the seed, and optional budget/space/reward/
-search overrides. A run writes ``log.jsonl`` (one ResultRecord per
+search overrides. A run writes ``log.jsonl`` (one EvalRecord per
 line) and ``summary.json`` into the output directory when one is given,
 and is byte-reproducible for a fixed config and seed on the synthetic
 evaluator.
@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import baselines, mcts
@@ -30,8 +30,8 @@ from .evaluators import (
 from .loops import load_loop_nest
 from .mcts import MctsParams
 from .reports import write_log
-from .reward import EvalRecord, RewardParams
-from .session import Budget, MonotonicClock, ResultRecord, SearchSession, SimulatedClock
+from .reward import RewardParams
+from .session import Budget, EvalRecord, MonotonicClock, SearchSession, SimulatedClock
 from .space import SpaceParams
 
 logger = logging.getLogger("pragmatune")
@@ -67,17 +67,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def mcts_params(self) -> MctsParams:
-        base = self.search or MctsParams()
-        return MctsParams(
-            c=base.c,
-            per_run_budget=base.per_run_budget,
-            n_walks=base.n_walks,
-            no_improve_limit=base.no_improve_limit,
-            same_config_limit=base.same_config_limit,
-            reward=self.reward,
-            space=self.space,
-            check_invariants=base.check_invariants,
-        )
+        return replace(self.search or MctsParams(), reward=self.reward, space=self.space)
 
 
 def _take(doc: dict, key: str, cls):
@@ -164,8 +154,7 @@ class ExperimentSummary:
     unique_evaluations: int
     wall_clock_s: float
     phases: int
-    records: list[ResultRecord] = field(repr=False, default_factory=list)
-    history: list[EvalRecord] = field(repr=False, default_factory=list)
+    records: list[EvalRecord] = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -212,7 +201,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     )
     logger.info("run: method=%s seed=%d", config.method, config.seed)
     if config.method == "mcts":
-        best, history = mcts.search(
+        best, records = mcts.search(
             session,
             config.mcts_params(),
             nest,
@@ -220,32 +209,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             rng_expand=random.Random(derive_seed(config.seed, "expand")),
         )
     elif config.method == "rs":
-        best, history = baselines.random_search(
+        best, records = baselines.random_search(
             session, nest, config.space, random.Random(derive_seed(config.seed, "search"))
         )
     elif config.method == "bf":
-        best, history = baselines.breadth_first(session, nest, config.space)
+        best, records = baselines.breadth_first(session, nest, config.space)
     else:
-        best, history = baselines.global_greedy(session, nest, config.space)
+        best, records = baselines.global_greedy(session, nest, config.space)
 
-    best_record = next(r for r in session.records if r.iteration == best.iteration)
     summary = ExperimentSummary(
         method=config.method,
         seed=config.seed,
         best_key=best.key,
         best_h=best.h,
-        best_depth=best.config.depth,
-        best_pragmas=best_record.pragmas,
+        best_depth=best.depth,
+        best_pragmas=best.pragmas,
         unique_evaluations=session.unique_evaluations,
         wall_clock_s=session.clock.elapsed(),
-        phases=len({r.phase for r in history}),
-        records=session.records,
-        history=history,
+        phases=len({r.phase for r in records}),
+        records=records,
     )
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_log(session.records, out / "log.jsonl")
+        write_log(records, out / "log.jsonl")
         (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
         logger.info("wrote %s and %s", out / "log.jsonl", out / "summary.json")
     return summary

@@ -112,8 +112,6 @@ def target_loop(step: Transformation) -> str:
     """The loop id a transformation acts on (the chain head for Tile/Interchange)."""
     if isinstance(step, (Tile, Interchange)):
         return step.nest_top
-    if isinstance(step, Pack):
-        return step.loop
     return step.loop
 
 

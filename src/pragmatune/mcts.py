@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from . import space
 from .loops import Configuration, LoopNest
 from .reward import (
-    EvalRecord,
     RewardParams,
     TargetState,
     penalty_filter,
     quantile_split,
     reward,
 )
-from .session import SearchSession
+from .session import EvalRecord, SearchSession
 from .space import SpaceParams
 
 # A phase whose iterations all hit the cache trips neither convergence
@@ -176,11 +175,26 @@ def detect_convergence(log: IterationLog) -> bool:
     return len(keys) == keys.maxlen and len(set(keys)) == 1
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    config: Configuration
-    h: float | None
-    achieved_depth: int
+def _playout(
+    path: list[SearchNode],
+    session: SearchSession,
+    params: MctsParams,
+    target: TargetState,
+    phase: int,
+) -> tuple[EvalRecord, bool] | None:
+    """Measure the path's end, reward it, and backpropagate along the path.
+
+    Returns what ``session.measure`` returned; None (out of budget)
+    leaves the tree untouched.
+    """
+    node = path[-1]
+    measured = session.measure(node.space.config, phase, target)
+    if measured is None:
+        return None
+    record = measured[0]
+    backpropagate(path, reward(record.outcome, record.h, target.f, params.reward))
+    node.terminal_count += 1
+    return measured
 
 
 def learn_depth(
@@ -190,14 +204,13 @@ def learn_depth(
     target: TargetState,
     rng: random.Random,
     phase: int,
-) -> tuple[int, list[WalkResult]]:
+) -> int:
     """Sample random walks of uniform random depth and pick the best one's.
 
     Every walk's reward backpropagates along its path. Returns the
     achieved depth of the best-performing walk (ties to the earlier
-    walk; 1 when every walk failed) plus the per-walk results.
+    walk; 1 when every walk failed).
     """
-    results: list[WalkResult] = []
     best_h: float | None = None
     d_star = 1
     for _ in range(params.n_walks):
@@ -212,22 +225,14 @@ def learn_depth(
                 break
             node = _get_or_create(node, rng.randrange(node.n_children), params)
             path.append(node)
-        measured = session.measure(node.space.config, phase)
+        measured = _playout(path, session, params, target, phase)
         if measured is None:
             break
-        if measured.h is not None:
-            target.update(measured.h)
-        value = reward(measured.outcome, measured.h, target.f, params.reward)
-        backpropagate(path, value)
-        node.terminal_count += 1
-        if measured.record is not None:
-            session.log(measured.record, target.f)
-        achieved = node.space.depth
-        results.append(WalkResult(node.space.config, measured.h, achieved))
-        if measured.h is not None and (best_h is None or measured.h > best_h):
-            best_h = measured.h
-            d_star = max(1, achieved)
-    return d_star, results
+        h = measured[0].h
+        if h is not None and (best_h is None or h > best_h):
+            best_h = h
+            d_star = max(1, node.space.depth)
+    return d_star
 
 
 def _reinforce(tree: SearchNode, config: Configuration, value: float, params: MctsParams) -> None:
@@ -265,21 +270,20 @@ def search(
 ) -> tuple[EvalRecord, list[EvalRecord]]:
     """Run the full phased search until the global budget is spent.
 
-    Returns the best record and the complete evaluation history. The
+    Returns the best record and every fresh evaluation's record. The
     root is measured first; its failure is fatal.
     """
-    root_record = session.evaluate_root(f=1.0)
     target = TargetState(params.reward)
-    target.update(root_record.h)
+    session.evaluate_root(target)
     phase = 0
     while not session.out_of_budget():
         tree = make_root(nest, params)
         if tree.n_children == 0:
             break
-        apply_transfer(tree, session.history, params)
-        evals_before = len(session.history)
-        d_star, _ = learn_depth(tree, session, params, target, rng_walks, phase)
-        phase_evals = len(session.history) - evals_before
+        apply_transfer(tree, session.records, params)
+        evals_before = session.unique_evaluations
+        d_star = learn_depth(tree, session, params, target, rng_walks, phase)
+        phase_evals = session.unique_evaluations - evals_before
         log = IterationLog(params.no_improve_limit, params.same_config_limit)
         iteration_cap = params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
         phase_iterations = 0
@@ -299,22 +303,14 @@ def search(
             while node.space.depth < d_star and node.n_children > 0:
                 node = _get_or_create(node, rng_walks.randrange(node.n_children), params)
                 path.append(node)
-            best_before = session.best.h
-            measured = session.measure(node.space.config, phase)
+            measured = _playout(path, session, params, target, phase)
             if measured is None:
                 break
-            if measured.fresh:
+            record, fresh = measured
+            if fresh:
                 phase_evals += 1
-            if measured.h is not None:
-                target.update(measured.h)
-            value = reward(measured.outcome, measured.h, target.f, params.reward)
-            backpropagate(path, value)
-            node.terminal_count += 1
-            if measured.record is not None:
-                session.log(measured.record, target.f)
-            improved = measured.fresh and measured.h is not None and session.best.h > best_before
-            log.note(node.space.key, improved, measured.fresh)
+            log.note(node.space.key, fresh and session.best is record, fresh)
             if params.check_invariants:
                 assert_consistent(tree)
         phase += 1
-    return session.best, session.history
+    return session.best, session.records

@@ -1,6 +1,6 @@
 """Tabular reports over run logs.
 
-Each emitter is pure text over parsed ResultRecords: a per-evaluation
+Each emitter is pure text over parsed EvalRecords: a per-evaluation
 trajectory, cumulative counts of configurations at or above a pooled
 top-percentile cutoff, and the step depth of each method's best find.
 All tables are tab-separated with a header row.
@@ -12,10 +12,10 @@ import json
 import math
 from pathlib import Path
 
-from .session import ResultRecord, record_from_dict
+from .session import EvalRecord, record_from_dict
 
 
-def read_log(path: str | Path) -> list[ResultRecord]:
+def read_log(path: str | Path) -> list[EvalRecord]:
     """Parse a line-delimited JSON run log."""
     records = []
     for line in Path(path).read_text().splitlines():
@@ -24,7 +24,7 @@ def read_log(path: str | Path) -> list[ResultRecord]:
     return records
 
 
-def write_log(records: list[ResultRecord], path: str | Path) -> None:
+def write_log(records: list[EvalRecord], path: str | Path) -> None:
     text = "".join(json.dumps(r.to_dict()) + "\n" for r in records)
     Path(path).write_text(text)
 
@@ -33,7 +33,7 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".6g")
 
 
-def emit_trajectory(records: list[ResultRecord]) -> str:
+def emit_trajectory(records: list[EvalRecord]) -> str:
     """Per-evaluation trajectory with phase boundaries marked."""
     lines = ["index\tdepth\th\tbest_so_far_h\tf\tphase"]
     previous_phase: int | None = None
@@ -69,7 +69,7 @@ def top_cutoff(values: list[float], fraction: float) -> float:
 
 
 def emit_cutoff_counts(
-    logs: list[list[ResultRecord]], fraction: float = 0.05
+    logs: list[list[EvalRecord]], fraction: float = 0.05
 ) -> str:
     """Cumulative per-method counts of configurations at/above the cutoff.
 
@@ -99,11 +99,11 @@ def emit_cutoff_counts(
     return "\n".join(lines) + "\n"
 
 
-def emit_best_depth(logs: list[list[ResultRecord]]) -> str:
+def emit_best_depth(logs: list[list[EvalRecord]]) -> str:
     """Step count (depth) of each method's best configuration."""
     lines = ["method\tbest_depth\tbest_h\tkey"]
     for i, log in enumerate(logs):
-        best: ResultRecord | None = None
+        best: EvalRecord | None = None
         for record in log:
             if record.h is not None and (best is None or record.h > best.h):
                 best = record

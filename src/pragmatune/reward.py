@@ -6,10 +6,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
+from typing import TYPE_CHECKING
 
 from .errors import EmptyHistoryError
 from .evaluators import Outcome
-from .loops import Configuration, pragma_identity
+
+if TYPE_CHECKING:
+    from .session import EvalRecord
 
 
 @dataclass(frozen=True)
@@ -72,29 +75,6 @@ def reward(outcome: Outcome, h: float | None, f: float, params: RewardParams) ->
     if not outcome.ok:
         return params.r_penalty
     return 1.0 if h > f else 0.0
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """One measured configuration; ``h`` is None exactly on failure."""
-
-    config: Configuration
-    outcome: Outcome
-    h: float | None
-    iteration: int
-    phase: int
-
-    def __post_init__(self) -> None:
-        if self.outcome.ok != (self.h is not None):
-            raise ValueError("h must be present exactly for successful outcomes")
-
-    @property
-    def key(self) -> str:
-        return self.config.key
-
-    @property
-    def identities(self) -> frozenset:
-        return frozenset(pragma_identity(s) for s in self.config.steps)
 
 
 def tail_rank(n: int, fraction: float) -> int:

@@ -1,23 +1,23 @@
-"""Shared run bookkeeping: budget, clocks, history, and the result log.
+"""Shared run bookkeeping: budget, clocks, and the evaluation records.
 
 Every searcher drives a SearchSession: it owns the evaluation cache,
-enforces the global budget, tracks the best configuration, and emits
-one ResultRecord per evaluator-producing iteration (cache hits produce
-nothing). The root baseline is measured once per run and does not
-consume budget.
+enforces the global budget, tracks the best configuration, and keeps
+one EvalRecord per fresh evaluation, which is both the search history
+and one line of the run log (cache hits produce nothing). The root
+baseline is measured once per run and does not consume budget.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import RootEvaluationError
 from .evaluators import CachedEvaluator, CompileFailure, Outcome, RunFailure, Time
-from .loops import Configuration
+from .loops import Configuration, pragma_identity
 from .rendering import pragma_lines
-from .reward import EvalRecord, speedup
+from .reward import TargetState, speedup
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,13 @@ class SimulatedClock:
 
 
 @dataclass(frozen=True)
-class ResultRecord:
-    """One line of the run log: a single fresh evaluation."""
+class EvalRecord:
+    """One fresh evaluation: a line of the run log and an entry of the history.
+
+    ``h`` is None exactly on failure. ``config`` feeds history transfer;
+    it is not logged, takes no part in equality, and is None on records
+    read back from a log.
+    """
 
     iteration: int
     phase: int
@@ -88,6 +93,15 @@ class ResultRecord:
     best_so_far_h: float
     depth: int
     wall_clock_s: float
+    config: Configuration | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.outcome.ok != (self.h is not None):
+            raise ValueError("h must be present exactly for successful outcomes")
+
+    @property
+    def identities(self) -> frozenset:
+        return frozenset(pragma_identity(s) for s in self.config.steps)
 
     def to_dict(self) -> dict:
         if isinstance(self.outcome, Time):
@@ -111,7 +125,7 @@ class ResultRecord:
         }
 
 
-def record_from_dict(doc: dict) -> ResultRecord:
+def record_from_dict(doc: dict) -> EvalRecord:
     raw = doc["outcome"]
     outcome: Outcome
     if raw["kind"] == "time":
@@ -120,7 +134,7 @@ def record_from_dict(doc: dict) -> ResultRecord:
         outcome = CompileFailure(raw.get("reason", ""))
     else:
         outcome = RunFailure(raw.get("reason", ""))
-    return ResultRecord(
+    return EvalRecord(
         iteration=doc["iteration"],
         phase=doc["phase"],
         method=doc["method"],
@@ -135,18 +149,8 @@ def record_from_dict(doc: dict) -> ResultRecord:
     )
 
 
-@dataclass
-class Measurement:
-    """What one measure() call produced. ``record`` is set on fresh ones."""
-
-    outcome: Outcome
-    h: float | None
-    fresh: bool
-    record: EvalRecord | None
-
-
 class SearchSession:
-    """One search run: cache, budget, history, best-so-far, result log."""
+    """One search run: cache, budget, best-so-far, and the evaluation records."""
 
     def __init__(
         self,
@@ -154,24 +158,29 @@ class SearchSession:
         budget: Budget,
         clock: MonotonicClock | SimulatedClock | None = None,
         method: str = "",
-        sink: Callable[[ResultRecord], None] | None = None,
+        sink: Callable[[EvalRecord], None] | None = None,
     ):
         self.cache = cache
         self.budget = budget
         self.clock = clock or MonotonicClock()
         self.method = method
-        self.records: list[ResultRecord] = []
         self._sink = sink
-        self.history: list[EvalRecord] = []
+        # Key -> record in measurement order, the root first; cache hits
+        # look their record up here instead of building a new one.
+        self._by_key: dict[str, EvalRecord] = {}
         self.best: EvalRecord | None = None
         self.root_time: float | None = None
         self.iterations = 0
 
     @property
+    def records(self) -> list[EvalRecord]:
+        """Every fresh evaluation in order, the root first."""
+        return list(self._by_key.values())
+
+    @property
     def unique_evaluations(self) -> int:
         """Unique configurations measured beyond the root baseline."""
-        used = self.cache.unique_count
-        return max(0, used - 1) if self.root_time is not None else used
+        return max(0, len(self._by_key) - 1)
 
     def count_iteration(self) -> None:
         self.iterations += 1
@@ -186,61 +195,74 @@ class SearchSession:
             and self.iterations >= self.budget.max_iterations
         )
 
-    def evaluate_root(self, config: Configuration | None = None, f: float | None = None) -> EvalRecord:
+    def evaluate_root(self, target: TargetState | None = None) -> EvalRecord:
         """Measure the empty configuration; its time is the speedup baseline."""
-        config = config or Configuration()
+        config = Configuration()
         outcome = self.cache.evaluate(config)
         if not outcome.ok:
             raise RootEvaluationError(f"root configuration failed: {outcome}")
-        self.clock.advance(outcome.seconds)
         self.root_time = outcome.seconds
-        record = EvalRecord(config, outcome, 1.0, iteration=0, phase=0)
-        self.history.append(record)
-        self.best = record
-        self.log(record, f)
-        return record
+        return self._record(config, outcome, 1.0, 0, target)
 
-    def measure(self, config: Configuration, phase: int) -> Measurement | None:
+    def measure(
+        self, config: Configuration, phase: int, target: TargetState | None = None
+    ) -> tuple[EvalRecord, bool] | None:
         """Evaluate through the cache, minding the budget.
 
-        Returns None when the configuration is unseen but the budget has
-        no room for another fresh evaluation. Cache hits are free and
-        produce no record.
+        Returns the record and whether it is fresh, or None when the
+        configuration is unseen but the budget has no room for another
+        fresh evaluation. A cache hit is free and returns the record
+        first measured for its key. Every successful measurement, cache
+        hits included, updates ``target`` when one is given.
         """
         if self.root_time is None:
             raise RootEvaluationError("evaluate_root must run before measure")
-        fresh = not self.cache.seen(config)
-        if fresh and self.out_of_budget():
+        record = self._by_key.get(config.key)
+        if record is not None:
+            if target is not None and record.h is not None:
+                target.update(record.h)
+            return record, False
+        if self.out_of_budget():
             return None
         outcome = self.cache.evaluate(config)
         h = speedup(self.root_time, outcome.seconds) if outcome.ok else None
-        record = None
-        if fresh:
-            self.clock.advance(outcome.seconds if outcome.ok else 0.0)
-            record = EvalRecord(
-                config, outcome, h, iteration=len(self.history), phase=phase
-            )
-            self.history.append(record)
-            if h is not None and (self.best is None or h > self.best.h):
-                self.best = record
-        return Measurement(outcome, h, fresh, record)
+        return self._record(config, outcome, h, phase, target), True
 
-    def log(self, record: EvalRecord, f: float | None) -> None:
-        """Emit the ResultRecord for a fresh evaluation."""
-        best_h = self.best.h if self.best is not None else 1.0
-        out = ResultRecord(
-            iteration=record.iteration,
-            phase=record.phase,
+    def _record(
+        self,
+        config: Configuration,
+        outcome: Outcome,
+        h: float | None,
+        phase: int,
+        target: TargetState | None,
+    ) -> EvalRecord:
+        """Keep and emit the record of a fresh evaluation.
+
+        The logged ``f`` is the target after this evaluation's update,
+        and ``best_so_far_h`` counts this evaluation.
+        """
+        self.clock.advance(outcome.seconds if outcome.ok else 0.0)
+        f = None
+        if target is not None:
+            f = target.update(h) if h is not None else target.f
+        improved = self.best is None or (h is not None and h > self.best.h)
+        record = EvalRecord(
+            iteration=len(self._by_key),
+            phase=phase,
             method=self.method,
-            key=record.key,
-            pragmas=tuple(pragma_lines(record.config)),
-            outcome=record.outcome,
-            h=record.h,
+            key=config.key,
+            pragmas=tuple(pragma_lines(config)),
+            outcome=outcome,
+            h=h,
             f=f,
-            best_so_far_h=best_h,
-            depth=record.config.depth,
+            best_so_far_h=h if improved else self.best.h,
+            depth=config.depth,
             wall_clock_s=self.clock.elapsed(),
+            config=config,
         )
-        self.records.append(out)
+        self._by_key[record.key] = record
+        if improved:
+            self.best = record
         if self._sink is not None:
-            self._sink(out)
+            self._sink(record)
+        return record

@@ -1,4 +1,4 @@
-"""Shared test utilities: independent enumeration oracle and generators.
+"""Shared test utilities: enumeration oracle, generators, record factory.
 
 The oracle rebuilds a node's ordered child list from scratch (its own
 chain detection, cross products over parameters, validity proven by
@@ -13,6 +13,7 @@ import random
 from itertools import permutations
 
 from pragmatune.loops import (
+    Configuration,
     Interchange,
     Loop,
     LoopNest,
@@ -23,6 +24,8 @@ from pragmatune.loops import (
     Unroll,
     apply,
 )
+from pragmatune.rendering import pragma_lines
+from pragmatune.session import EvalRecord
 from pragmatune.space import SpaceParams
 
 
@@ -134,3 +137,21 @@ def chain_nest(depth: int, arrays: tuple[str, ...] = ()) -> LoopNest:
     for index in reversed(range(depth)):
         loop = Loop(id=f"i{index}", children=(loop,) if loop else ())
     return LoopNest((loop,), arrays)
+
+
+def eval_record(config: Configuration, outcome, h, iteration: int, phase: int) -> EvalRecord:
+    """A session-style record; the log-only fields follow from the arguments."""
+    return EvalRecord(
+        iteration=iteration,
+        phase=phase,
+        method="test",
+        key=config.key,
+        pragmas=tuple(pragma_lines(config)),
+        outcome=outcome,
+        h=h,
+        f=None,
+        best_so_far_h=1.0 if h is None else h,
+        depth=config.depth,
+        wall_clock_s=0.0,
+        config=config,
+    )

@@ -44,7 +44,7 @@ from pragmatune.mcts import (
     uct_score,
 )
 from pragmatune.rendering import render_pragmas
-from pragmatune.reward import EvalRecord, RewardParams, quantile_split, reward
+from pragmatune.reward import RewardParams, quantile_split, reward
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import (
     SpaceParams,
@@ -55,7 +55,7 @@ from pragmatune.space import (
     root_node,
 )
 
-from helpers import chain_nest, oracle_children, random_nest, random_params
+from helpers import chain_nest, eval_record, oracle_children, random_nest, random_params
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -367,18 +367,18 @@ def test_criterion_09_history_transfer_without_evaluation():
         params = MctsParams()  # default space enumerates all steps used below
         nest = chain_nest(1)
 
-        root_rec = EvalRecord(Configuration(), Time(1.0), 1.0, 0, 0)
-        upper_rec = EvalRecord(
+        root_rec = eval_record(Configuration(), Time(1.0), 1.0, 0, 0)
+        upper_rec = eval_record(
             Configuration((Tile("i0", 256, True),)), Time(0.05), 20.0, 1, 0
         )
-        slow_rec = EvalRecord(
+        slow_rec = eval_record(
             Configuration((Reverse("i0"),)), Time(2.0), 0.5, 2, 0
         )
         sizes_peels = [
             (s, p) for s in (2, 3, 4, 5, 8, 16, 32, 64) for p in (False, True)
         ]
         fillers = [
-            EvalRecord(
+            eval_record(
                 Configuration((Tile("i0", size, peel),)),
                 Time(1.0 / (2 + k)),
                 float(2 + k),
@@ -413,7 +413,7 @@ def test_criterion_09_history_transfer_without_evaluation():
         cache = CachedEvaluator(counting_evaluator)
         tree = make_root(nest, params)
         apply_transfer(tree, history, params)
-        assert calls == 0 and cache.calls == 0
+        assert calls == 0 and cache.unique_count == 0
 
         by_key = {c.space.key: c for c in tree.children.values()}
         reinforced = by_key["tile(i0;256;peel)"]
@@ -478,9 +478,9 @@ def test_criterion_10_randomized_invariants():
                 random.Random(derive_seed(seed, "walks")),
                 random.Random(derive_seed(seed, "expand")),
             )
-            keys = [r.key for r in session.history]
+            keys = [r.key for r in session.records]
             assert len(set(keys)) == len(keys)
-            assert session.unique_evaluations == len(session.history) - 1
+            assert session.unique_evaluations == len(session.records) - 1
             best_seen = 0.0
             for record in session.records:
                 assert record.best_so_far_h >= best_seen

@@ -151,10 +151,10 @@ class TestRunExperiment:
         summary = run_experiment(config)
         assert summary.method == "mcts" and summary.seed == 7
         assert summary.unique_evaluations == 40
-        assert len(summary.records) == len(summary.history) == 41
-        best_h = max(r.h for r in summary.history if r.h is not None)
+        assert len(summary.records) == 41
+        best_h = max(r.h for r in summary.records if r.h is not None)
         assert summary.best_h == best_h
-        assert summary.best_key in {r.key for r in summary.history}
+        assert summary.best_key in {r.key for r in summary.records}
         assert summary.phases >= 1
         assert summary.wall_clock_s > 0.0
 

@@ -28,11 +28,11 @@ from pragmatune.mcts import (
     select,
     uct_score,
 )
-from pragmatune.reward import EvalRecord, RewardParams, TargetState
+from pragmatune.reward import RewardParams, TargetState
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
-from helpers import chain_nest
+from helpers import chain_nest, eval_record
 
 SMALL_SPACE = SpaceParams(
     tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
@@ -255,26 +255,26 @@ class TestLearnDepth:
         session.evaluate_root()
         tree = make_root(chain_nest(1), params)
         target = TargetState(params.reward)
-        d_star, results = learn_depth(
-            tree, session, params, target, random.Random(5), phase=0
-        )
-        assert len(results) == params.n_walks
-        first_success = next(r for r in results if r.h is not None)
-        assert d_star == max(1, first_success.achieved_depth)
+        d_star = learn_depth(tree, session, params, target, random.Random(5), phase=0)
+        # Every walk backpropagates through the root exactly once.
+        assert tree.visits == params.n_walks
+        # A walk's first success is fresh, so it is the first successful record.
+        first_success = next(r for r in session.records[1:] if r.h is not None)
+        assert d_star == max(1, first_success.depth)
         assert_consistent(tree)
-        assert tree.visits == len(results)
 
     def test_best_walk_sets_the_depth(self):
         params = small_params()
         session = make_session(depth_rewarding_evaluator)
         session.evaluate_root()
         tree = make_root(chain_nest(1), params)
-        d_star, results = learn_depth(
+        d_star = learn_depth(
             tree, session, params, TargetState(params.reward), random.Random(7), phase=0
         )
-        best = max((r for r in results if r.h is not None), key=lambda r: r.h)
-        assert d_star == best.achieved_depth
-        assert d_star == max(r.achieved_depth for r in results)
+        walked = session.records[1:]  # one record per distinct walk end
+        best = max((r for r in walked if r.h is not None), key=lambda r: r.h)
+        assert d_star == best.depth
+        assert d_star == max(r.depth for r in walked)
 
     def test_every_walk_failing_falls_back_to_depth_one(self):
         def all_fail(config):
@@ -284,30 +284,31 @@ class TestLearnDepth:
         session = make_session(all_fail)
         session.evaluate_root()
         tree = make_root(chain_nest(1), params)
-        d_star, results = learn_depth(
+        d_star = learn_depth(
             tree, session, params, TargetState(params.reward), random.Random(3), phase=0
         )
         assert d_star == 1
-        assert all(r.h is None for r in results)
+        assert tree.visits == params.n_walks
+        assert all(r.h is None for r in session.records[1:])
 
     def test_budget_stops_the_walks(self):
         params = small_params()
         session = make_session(flat_landscape(), max_unique=3)
         session.evaluate_root()
         tree = make_root(chain_nest(1), params)
-        _, results = learn_depth(
+        learn_depth(
             tree, session, params, TargetState(params.reward), random.Random(1), phase=0
         )
         assert session.unique_evaluations <= 3
-        assert len(results) <= params.n_walks
+        assert tree.visits <= params.n_walks
 
 
 def history_from(entries):
     """entries: (steps, h) pairs; h None means a compile failure."""
-    out = [EvalRecord(Configuration(), Time(1.0), 1.0, 0, 0)]
+    out = [eval_record(Configuration(), Time(1.0), 1.0, 0, 0)]
     for k, (steps, h) in enumerate(entries, start=1):
         outcome = Time(1.0 / h) if h is not None else CompileFailure("x")
-        out.append(EvalRecord(Configuration(tuple(steps)), outcome, h, k, 0))
+        out.append(eval_record(Configuration(tuple(steps)), outcome, h, k, 0))
     return out
 
 
@@ -354,21 +355,28 @@ class TestApplyTransfer:
         params = small_params()
         tree = make_root(chain_nest(1), params)
         failures = [
-            EvalRecord(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
+            eval_record(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
         ]
         apply_transfer(tree, failures, params)
         assert tree.visits == 0 and tree.children == {}
 
     def test_transfer_never_calls_the_evaluator(self):
         params = small_params()
-        session = make_session(flat_landscape(), max_unique=10)
+        landscape = flat_landscape()
+        calls = []
+
+        def counting(config):
+            calls.append(config.key)
+            return landscape(config)
+
+        session = make_session(counting, max_unique=10)
         session.evaluate_root()
         for k, steps in enumerate(([Reverse("i0")], [Unroll("i0", 2)]), start=1):
             session.measure(Configuration(tuple(steps)), phase=0)
-        calls_before = session.cache.calls
+        calls_before = len(calls)
         tree = make_root(chain_nest(1), params)
-        apply_transfer(tree, session.history, params)
-        assert session.cache.calls == calls_before
+        apply_transfer(tree, session.records, params)
+        assert len(calls) == calls_before
         assert tree.visits > 0  # the replayed paths really landed
 
 
@@ -387,7 +395,7 @@ class TestSearch:
         def run():
             session = make_session(SyntheticLandscape(seed=5), max_unique=30)
             search(session, small_params(), chain_nest(2), random.Random(3), random.Random(4))
-            return [(r.iteration, r.key, r.h) for r in session.history]
+            return [(r.iteration, r.key, r.h) for r in session.records]
 
         assert run() == run()
 

@@ -11,12 +11,12 @@ from pragmatune.reports import (
     top_cutoff,
     write_log,
 )
-from pragmatune.session import ResultRecord
+from pragmatune.session import EvalRecord
 
 
 def make_record(iteration, h, *, phase=0, method="mcts", depth=1, f=None, best=None):
     ok = h is not None
-    return ResultRecord(
+    return EvalRecord(
         iteration=iteration,
         phase=phase,
         method=method,

@@ -8,7 +8,6 @@ from pragmatune.errors import EmptyHistoryError
 from pragmatune.evaluators import CompileFailure, RunFailure, Time
 from pragmatune.loops import Configuration, Reverse, Tile, Unroll
 from pragmatune.reward import (
-    EvalRecord,
     RewardParams,
     TargetState,
     penalty_filter,
@@ -18,10 +17,12 @@ from pragmatune.reward import (
     tail_rank,
 )
 
+from helpers import eval_record
+
 
 def rec(h, steps=(), iteration=0, phase=1):
     outcome = Time(h) if h is not None else CompileFailure("boom")
-    return EvalRecord(Configuration(tuple(steps)), outcome, h, iteration, phase)
+    return eval_record(Configuration(tuple(steps)), outcome, h, iteration, phase)
 
 
 class TestSpeedup:
@@ -122,9 +123,9 @@ class TestRewardParamsValidation:
 class TestEvalRecord:
     def test_h_must_match_outcome(self):
         with pytest.raises(ValueError):
-            EvalRecord(Configuration(), Time(1.0), None, 0, 0)
+            eval_record(Configuration(), Time(1.0), None, 0, 0)
         with pytest.raises(ValueError):
-            EvalRecord(Configuration(), CompileFailure("x"), 1.0, 0, 0)
+            eval_record(Configuration(), CompileFailure("x"), 1.0, 0, 0)
 
     def test_identities_ignore_loop_ids(self):
         a = rec(2.0, [Tile("i", 32, False), Reverse("i.t")])

@@ -1,4 +1,4 @@
-"""Session bookkeeping: budget, clocks, caching, best tracking, logging."""
+"""Session bookkeeping: budget, clocks, caching, best tracking, records."""
 
 import pytest
 
@@ -11,10 +11,11 @@ from pragmatune.evaluators import (
     Time,
 )
 from pragmatune.loops import Configuration, Reverse, Tile, Unroll
+from pragmatune.reward import RewardParams, TargetState
 from pragmatune.session import (
     Budget,
+    EvalRecord,
     MonotonicClock,
-    ResultRecord,
     SearchSession,
     SimulatedClock,
     record_from_dict,
@@ -94,22 +95,23 @@ class TestMeasure:
     def test_fresh_measurement_records_history(self):
         session = session_with(halver)
         session.evaluate_root()
-        measured = session.measure(cfg(Reverse("i")), phase=1)
-        assert measured.fresh
-        assert measured.h == 2.0
-        assert measured.record.iteration == 1 and measured.record.phase == 1
-        assert [r.key for r in session.history] == ["", "reverse(i)"]
+        record, fresh = session.measure(cfg(Reverse("i")), phase=1)
+        assert fresh
+        assert record.h == 2.0
+        assert record.iteration == 1 and record.phase == 1
+        assert [r.key for r in session.records] == ["", "reverse(i)"]
 
     def test_cache_hit_is_free_and_recordless(self):
         session = session_with(halver)
         session.evaluate_root()
         session.measure(cfg(Reverse("i")), phase=0)
         elapsed = session.clock.elapsed()
-        again = session.measure(cfg(Reverse("i")), phase=3)
-        assert not again.fresh
-        assert again.record is None
+        first = session.records[-1]
+        again, fresh = session.measure(cfg(Reverse("i")), phase=3)
+        assert not fresh
+        assert again is first  # the first record, not a new one
         assert again.h == 2.0
-        assert len(session.history) == 2
+        assert len(session.records) == 2
         assert session.clock.elapsed() == elapsed
         assert session.unique_evaluations == 1
 
@@ -119,8 +121,8 @@ class TestMeasure:
 
         session = session_with(flaky)
         session.evaluate_root()
-        measured = session.measure(cfg(Reverse("i")), phase=0)
-        assert measured.h is None and measured.record.h is None
+        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        assert record.h is None and record.outcome == CompileFailure("no")
         assert session.clock.elapsed() == 1.0  # failures cost no simulated time
         assert session.best.key == ""
 
@@ -131,7 +133,7 @@ class TestMeasure:
         assert session.out_of_budget()
         assert session.measure(cfg(Unroll("i", 2)), phase=0) is None
         revisit = session.measure(cfg(Reverse("i")), phase=0)
-        assert revisit is not None and not revisit.fresh
+        assert revisit is not None and not revisit[1]
 
     def test_best_prefers_higher_h_and_keeps_the_first_tie(self):
         times = {"": 1.0, "reverse(i)": 0.5, "unroll(i;2)": 0.5, "reverse(j)": 0.25}
@@ -143,6 +145,38 @@ class TestMeasure:
         session.measure(cfg(Reverse("j")), phase=0)
         assert session.best.key == "reverse(j)"
         assert session.best.h == 4.0
+
+    def test_target_moves_on_every_success_cache_hits_included(self):
+        session = session_with(halver)
+        target = TargetState(RewardParams(m=10))
+        root = session.evaluate_root(target)
+        assert root.f == target.f == 1.0
+        record, _ = session.measure(cfg(Reverse("i")), phase=0, target=target)
+        assert record.f == target.f == 1.5  # mean of 1.0 and 2.0
+        again, fresh = session.measure(cfg(Reverse("i")), phase=0, target=target)
+        assert not fresh and again.f == 1.5  # the record keeps its logged f
+        assert target.f == pytest.approx(5.0 / 3.0)  # the hit's h entered the window
+
+    def test_failures_leave_the_target_alone(self):
+        session = session_with(lambda c: CompileFailure("no") if c.steps else Time(1.0))
+        target = TargetState(RewardParams())
+        session.evaluate_root(target)
+        record, _ = session.measure(cfg(Reverse("i")), phase=0, target=target)
+        assert record.f == target.f == 1.0
+
+    def test_without_a_target_f_is_not_logged(self):
+        session = session_with(halver)
+        assert session.evaluate_root().f is None
+        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        assert record.f is None
+
+    def test_best_is_the_logged_record(self):
+        session = session_with(halver)
+        session.evaluate_root()
+        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        assert session.best is record is session.records[-1]
+        assert record.best_so_far_h == 2.0
+        assert record.config == cfg(Reverse("i"))
 
 
 class TestOutOfBudget:
@@ -169,14 +203,15 @@ class TestLogging:
     def test_log_lines_carry_run_state(self):
         lines = []
         session = session_with(halver, sink=lines.append)
-        session.evaluate_root(f=1.0)
-        measured = session.measure(cfg(Tile("i", 32)), phase=2)
-        session.log(measured.record, f=1.25)
+        target = TargetState(RewardParams())
+        session.evaluate_root(target)
+        session.measure(cfg(Tile("i", 32)), phase=2, target=target)
         assert [l.key for l in lines] == ["", "tile(i;32;nopeel)"]
+        assert lines[0].f == 1.0
         line = lines[-1]
         assert line.method == "test"
         assert line.pragmas == ("#pragma clang loop tile sizes(32)",)
-        assert line.f == 1.25
+        assert line.f == 1.5  # the target after this update: mean of 1.0 and 2.0
         assert line.h == 2.0  # 1.0s baseline over 0.5s
         assert line.best_so_far_h == 2.0
         assert line.depth == 1
@@ -186,7 +221,7 @@ class TestLogging:
     def test_result_record_round_trips_through_dicts(self):
         outcomes = [Time(0.25), CompileFailure("bad"), RunFailure("worse")]
         for outcome in outcomes:
-            record = ResultRecord(
+            record = EvalRecord(
                 iteration=3,
                 phase=1,
                 method="mcts",
@@ -200,3 +235,12 @@ class TestLogging:
                 wall_clock_s=0.75,
             )
             assert record_from_dict(record.to_dict()) == record
+
+    def test_read_back_records_have_no_config_and_still_compare_equal(self):
+        session = session_with(halver)
+        session.evaluate_root()
+        record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
+        back = record_from_dict(record.to_dict())
+        assert back.config is None and record.config is not None
+        assert back == record
+        assert "config" not in record.to_dict()
