@@ -139,6 +139,16 @@ def chain_nest(depth: int, arrays: tuple[str, ...] = ()) -> LoopNest:
     return LoopNest((loop,), arrays)
 
 
+def counting(inner, calls: list):
+    """``inner``, appending each configuration key it is asked for to ``calls``."""
+
+    def evaluate(config):
+        calls.append(config.key)
+        return inner(config)
+
+    return evaluate
+
+
 def eval_record(config: Configuration, outcome, h, iteration: int, phase: int) -> EvalRecord:
     """A session-style record; the log-only fields follow from the arguments."""
     return EvalRecord(

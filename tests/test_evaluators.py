@@ -22,6 +22,8 @@ from pragmatune.loops import (
     Unroll,
 )
 
+from helpers import counting
+
 TEMPLATE = "/*@loop:i*/\nfor (;;) ;\n"
 
 
@@ -108,16 +110,6 @@ class TestSyntheticLandscape:
             SyntheticLandscape(seed=0, base_time=0.0)
         with pytest.raises(ValueError):
             SyntheticLandscape(seed=0, failure_rate=1.0)
-
-
-def counting(inner, calls):
-    """``inner``, appending each configuration key it is asked for to ``calls``."""
-
-    def evaluate(config):
-        calls.append(config.key)
-        return inner(config)
-
-    return evaluate
 
 
 class TestCachedEvaluator:

@@ -32,7 +32,7 @@ from pragmatune.reward import RewardParams, TargetState
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
-from helpers import chain_nest, eval_record
+from helpers import chain_nest, counting, eval_record
 
 SMALL_SPACE = SpaceParams(
     tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
@@ -362,14 +362,8 @@ class TestApplyTransfer:
 
     def test_transfer_never_calls_the_evaluator(self):
         params = small_params()
-        landscape = flat_landscape()
         calls = []
-
-        def counting(config):
-            calls.append(config.key)
-            return landscape(config)
-
-        session = make_session(counting, max_unique=10)
+        session = make_session(counting(flat_landscape(), calls), max_unique=10)
         session.evaluate_root()
         for k, steps in enumerate(([Reverse("i0")], [Unroll("i0", 2)]), start=1):
             session.measure(Configuration(tuple(steps)), phase=0)
