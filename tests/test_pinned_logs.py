@@ -2,7 +2,8 @@
 
 The digests are the sha256 of ``log.jsonl`` and ``summary.json`` for the
 demo experiment under every method and seeds 1-3 on the synthetic
-evaluator. Two runs of the same code matching each other (criterion 8)
+evaluator, and for a restart-heavy mcts run (11 phases, so history
+transfer replays onto ten fresh trees). Two runs of the same code matching each other (criterion 8)
 cannot catch a refactor that changes behaviour; these digests can. A
 change that means to alter the search re-pins them and says so in
 CHANGES.md.
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from pragmatune.harness import load_experiment_config, run_experiment
+from pragmatune.harness import ExperimentConfig, load_experiment_config, run_experiment
+from pragmatune.mcts import MctsParams
+from pragmatune.session import Budget
 
 DEMO_EXPERIMENT = Path(__file__).resolve().parent.parent / "demos" / "experiment.json"
 
@@ -81,3 +84,41 @@ def test_demo_experiment_outputs_are_pinned(tmp_path, method, seed):
     run_experiment(replace(config, method=method, seed=seed, out_dir=str(tmp_path)))
     digests = (sha256(tmp_path / "log.jsonl"), sha256(tmp_path / "summary.json"))
     assert digests == PINNED[(method, seed)]
+
+
+CHAIN3_NEST = (
+    '{"loops":[{"id":"i","children":[{"id":"j","children":[{"id":"k"}]}]}],'
+    '"arrays":["A","B"]}'
+)
+
+# seed -> (sha256 of log.jsonl, sha256 of summary.json)
+PINNED_RESTARTS = {
+    1: (
+        "999ff6956265d3ef96abd8f81dc40dad7b1ca691e9212e8c947e4ddc61d6e3b2",
+        "74d206cb4babc5fd7dda58c095e5fc27f51ab15b5e009f51d3bc5a98d1e9c7a6",
+    ),
+    2: (
+        "a620c9bcd61bf9bf53aff33269012b6ae2b46cbc955cd332738294708dfffd34",
+        "196eacde7cc0bb4f4a3a884fb09c51b2198f17c1472459b44f6e38303abfa89d",
+    ),
+    3: (
+        "e375220f859a59fb639c892d2c89942a5987171efc53bbd24969c243b95ad805",
+        "cbf0612ca8d0f2a69d45f0928903800ff49c92ef24e4224ac9573c388c6e5a12",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_RESTARTS))
+def test_restart_heavy_mcts_outputs_are_pinned(tmp_path, seed):
+    config = ExperimentConfig(
+        nest_text=CHAIN3_NEST,
+        method="mcts",
+        seed=seed,
+        budget=Budget(max_unique=600, max_iterations=60000),
+        search=MctsParams(per_run_budget=60, n_walks=10),
+        out_dir=str(tmp_path),
+    )
+    summary = run_experiment(config)
+    assert max(r.phase for r in summary.records) == 10
+    digests = (sha256(tmp_path / "log.jsonl"), sha256(tmp_path / "summary.json"))
+    assert digests == PINNED_RESTARTS[seed]
