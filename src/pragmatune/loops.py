@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterator, Union
 
 from .errors import DuplicateLoopIdError, InvalidTargetError, NestParseError
@@ -164,8 +164,9 @@ class Configuration:
 
     steps: tuple[Transformation, ...] = ()
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """Joined once per configuration and kept; equality ignores it."""
         return "|".join(step_key(s) for s in self.steps)
 
     @property
@@ -228,24 +229,25 @@ def load_loop_nest(text: str) -> LoopNest:
     return LoopNest(roots=roots, arrays=tuple(arrays))
 
 
+def _chain_heads(loop: Loop, parent: Loop | None, heads: list[Loop]) -> None:
+    """Append, in preorder, the loops of this subtree that start a chain."""
+    continues = (
+        loop.transformable
+        and parent is not None
+        and parent.transformable
+        and len(parent.children) == 1
+    )
+    if loop.transformable and not continues:
+        heads.append(loop)
+    for child in loop.children:
+        _chain_heads(child, loop, heads)
+
+
 def _chains(nest: LoopNest) -> list[list[Loop]]:
     """Maximal perfect chains of transformable loops, in preorder."""
     heads: list[Loop] = []
-
-    def visit(loop: Loop, parent: Loop | None) -> None:
-        continues = (
-            loop.transformable
-            and parent is not None
-            and parent.transformable
-            and len(parent.children) == 1
-        )
-        if loop.transformable and not continues:
-            heads.append(loop)
-        for child in loop.children:
-            visit(child, loop)
-
     for root in nest.roots:
-        visit(root, None)
+        _chain_heads(root, None, heads)
 
     chains = []
     for head in heads:
@@ -265,32 +267,30 @@ def perfect_nests(nest: LoopNest) -> list[list[str]]:
     return [[loop.id for loop in chain] for chain in _chains(nest)]
 
 
+def _replaced(loop: Loop, target_id: str, fn) -> tuple[Loop, ...] | None:
+    """``loop`` with ``fn(target)`` substituted, or None without the target below it."""
+    if loop.id == target_id:
+        return fn(loop)
+    for k, child in enumerate(loop.children):
+        new = _replaced(child, target_id, fn)
+        if new is not None:
+            children = loop.children[:k] + new + loop.children[k + 1 :]
+            return (replace(loop, children=children),)
+    return None
+
+
 def _replace_subtree(roots, target_id, fn):
     """Rebuild the forest with ``fn(loop)`` substituted for the target loop.
 
     ``fn`` returns a tuple of replacement loops (possibly empty, for full
-    unrolling of a leaf).
+    unrolling of a leaf). Loop ids are unique, so only the target's
+    ancestors are rebuilt and every other subtree is shared.
     """
-    found = False
-
-    def visit(loop: Loop) -> tuple[Loop, ...]:
-        nonlocal found
-        if loop.id == target_id:
-            found = True
-            return fn(loop)
-        new_children: list[Loop] = []
-        for child in loop.children:
-            new_children.extend(visit(child))
-        if tuple(new_children) == loop.children:
-            return (loop,)
-        return (replace(loop, children=tuple(new_children)),)
-
-    out: list[Loop] = []
-    for root in roots:
-        out.extend(visit(root))
-    if not found:
-        raise InvalidTargetError(f"no loop with id {target_id!r} in nest")
-    return tuple(out)
+    for k, root in enumerate(roots):
+        new = _replaced(root, target_id, fn)
+        if new is not None:
+            return roots[:k] + new + roots[k + 1 :]
+    raise InvalidTargetError(f"no loop with id {target_id!r} in nest")
 
 
 def _freeze(loop: Loop) -> Loop:

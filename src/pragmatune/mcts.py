@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,17 +61,57 @@ class SearchNode:
 
     ``terminal_count`` counts backpropagated paths that ended here, so
     for every node visits == sum(child visits) + terminal_count.
+
+    A node made by ``_get_or_create`` starts as its child index and
+    statistics only; ``space`` (one ``apply``) and ``n_children`` (one
+    census) are built on first read, so nodes that only history
+    transfer touches are never built. Tree nodes hold no strong parent
+    reference: a child reaches its parent through a weak reference, so
+    a dropped tree holds no reference cycle and is freed at once.
     """
 
-    __slots__ = ("space", "n_children", "visits", "total_reward", "terminal_count", "children")
+    __slots__ = (
+        "_space",
+        "_n_children",
+        "_parent",
+        "_params",
+        "index",
+        "visits",
+        "total_reward",
+        "terminal_count",
+        "children",
+        "__weakref__",
+    )
 
-    def __init__(self, space_node: space.SpaceNode, n_children: int):
-        self.space = space_node
-        self.n_children = n_children
+    def __init__(
+        self,
+        space_node: space.SpaceNode | None,
+        n_children: int | None,
+        params: SpaceParams | None = None,
+        parent: SearchNode | None = None,
+        index: int = -1,
+    ):
+        self._space = space_node
+        self._n_children = n_children
+        self._params = params
+        self._parent = None if parent is None else weakref.ref(parent)
+        self.index = index
         self.visits = 0
         self.total_reward = 0.0
         self.terminal_count = 0
         self.children: dict[int, SearchNode] = {}
+
+    @property
+    def space(self) -> space.SpaceNode:
+        if self._space is None:
+            self._space = space.child(self._parent().space, self.index, self._params)
+        return self._space
+
+    @property
+    def n_children(self) -> int:
+        if self._n_children is None:
+            self._n_children = space.child_count(self.space, self._params)
+        return self._n_children
 
     @property
     def mean_reward(self) -> float:
@@ -78,8 +119,7 @@ class SearchNode:
 
 
 def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:
-    node = space.root_node(nest)
-    return SearchNode(node, space.child_count(node, params.space))
+    return SearchNode(space.root_node(nest), None, params.space)
 
 
 def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
@@ -102,32 +142,33 @@ def select(root: SearchNode, target_depth: int, c: float) -> list[SearchNode]:
     while node.space.depth < target_depth:
         if node.n_children == 0 or len(node.children) < node.n_children:
             break
+        parent_visits = max(node.visits, 1)
         best_idx = -1
         best = -math.inf
-        for idx in sorted(node.children):
-            score = uct_score(node.children[idx], max(node.visits, 1), c)
-            if score > best:
+        for idx, child in node.children.items():
+            score = uct_score(child, parent_visits, c)
+            if score > best or (score == best and idx < best_idx):
                 best, best_idx = score, idx
         node = node.children[best_idx]
         path.append(node)
     return path
 
 
-def _get_or_create(node: SearchNode, index: int, params: MctsParams) -> SearchNode:
+def _get_or_create(node: SearchNode, index: int) -> SearchNode:
+    """Child ``index`` of ``node``, created unbuilt on first use."""
     child = node.children.get(index)
     if child is None:
-        snode = space.child(node.space, index, params.space)
-        child = SearchNode(snode, space.child_count(snode, params.space))
+        child = SearchNode(None, None, node._params, node, index)
         node.children[index] = child
     return child
 
 
-def expand(leaf: SearchNode, rng: random.Random, params: MctsParams) -> SearchNode:
+def expand(leaf: SearchNode, rng: random.Random) -> SearchNode:
     """Materialize one unexpanded child, chosen uniformly at random."""
     unexpanded = [i for i in range(leaf.n_children) if i not in leaf.children]
     if not unexpanded:
         raise ValueError("node has no unexpanded children")
-    return _get_or_create(leaf, unexpanded[rng.randrange(len(unexpanded))], params)
+    return _get_or_create(leaf, unexpanded[rng.randrange(len(unexpanded))])
 
 
 def backpropagate(path: list[SearchNode], value: float) -> None:
@@ -223,7 +264,7 @@ def learn_depth(
         for _ in range(depth):
             if node.n_children == 0:
                 break
-            node = _get_or_create(node, rng.randrange(node.n_children), params)
+            node = _get_or_create(node, rng.randrange(node.n_children))
             path.append(node)
         measured = _playout(path, session, params, target, phase)
         if measured is None:
@@ -235,30 +276,55 @@ def learn_depth(
     return d_star
 
 
-def _reinforce(tree: SearchNode, config: Configuration, value: float, params: MctsParams) -> None:
-    path = [tree]
+def _index_path(tree: SearchNode, config: Configuration, params: MctsParams) -> tuple[int, ...]:
+    """Child indices leading from the root to ``config``, building the nodes on the way."""
+    indices = []
     node = tree
     for step in config.steps:
         index = space.child_index(node.space, step, params.space)
-        node = _get_or_create(node, index, params)
+        indices.append(index)
+        node = _get_or_create(node, index)
+    return tuple(indices)
+
+
+def _reinforce(tree: SearchNode, indices: tuple[int, ...], value: float) -> None:
+    path = [tree]
+    node = tree
+    for index in indices:
+        node = _get_or_create(node, index)
         path.append(node)
     backpropagate(path, value)
     node.terminal_count += 1
 
 
-def apply_transfer(tree: SearchNode, history: list[EvalRecord], params: MctsParams) -> None:
+def apply_transfer(
+    tree: SearchNode,
+    history: list[EvalRecord],
+    params: MctsParams,
+    paths: dict[str, tuple[int, ...]] | None = None,
+) -> None:
     """Replay history quantiles onto a fresh tree without evaluating.
 
     Upper-tail records get +1 along their re-created paths; lower-tail
-    records surviving the penalty filter get r_penalty.
+    records surviving the penalty filter get r_penalty. ``paths`` maps
+    record keys to child-index paths; a record missing from it gets its
+    path computed once and stored, so passing the same dict to every
+    phase computes each path once per run.
     """
     if not any(r.h is not None for r in history):
         return
+    if paths is None:
+        paths = {}
     lower, upper = quantile_split(history, params.reward.alpha)
-    for record in upper:
-        _reinforce(tree, record.config, 1.0, params)
-    for record in penalty_filter(lower, upper):
-        _reinforce(tree, record.config, params.reward.r_penalty, params)
+    for records, value in (
+        (upper, 1.0),
+        (penalty_filter(lower, upper), params.reward.r_penalty),
+    ):
+        for record in records:
+            indices = paths.get(record.key)
+            if indices is None:
+                indices = paths[record.key] = _index_path(tree, record.config, params)
+            _reinforce(tree, indices, value)
 
 
 def search(
@@ -276,11 +342,12 @@ def search(
     target = TargetState(params.reward)
     session.evaluate_root(target)
     phase = 0
+    paths: dict[str, tuple[int, ...]] = {}
     while not session.out_of_budget():
         tree = make_root(nest, params)
         if tree.n_children == 0:
             break
-        apply_transfer(tree, session.records, params)
+        apply_transfer(tree, session.records, params, paths)
         evals_before = session.unique_evaluations
         d_star = learn_depth(tree, session, params, target, rng_walks, phase)
         phase_evals = session.unique_evaluations - evals_before
@@ -298,10 +365,10 @@ def search(
             path = select(tree, d_star, params.c)
             leaf = path[-1]
             if leaf.space.depth < d_star and len(leaf.children) < leaf.n_children and leaf.n_children > 0:
-                path.append(expand(leaf, rng_expand, params))
+                path.append(expand(leaf, rng_expand))
             node = path[-1]
             while node.space.depth < d_star and node.n_children > 0:
-                node = _get_or_create(node, rng_walks.randrange(node.n_children), params)
+                node = _get_or_create(node, rng_walks.randrange(node.n_children))
                 path.append(node)
             measured = _playout(path, session, params, target, phase)
             if measured is None:

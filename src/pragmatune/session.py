@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .errors import RootEvaluationError
@@ -99,8 +100,9 @@ class EvalRecord:
         if self.outcome.ok != (self.h is not None):
             raise ValueError("h must be present exactly for successful outcomes")
 
-    @property
+    @cached_property
     def identities(self) -> frozenset:
+        """Pragma identities of the steps, built once; raises when ``config`` is None."""
         return frozenset(pragma_identity(s) for s in self.config.steps)
 
     def to_dict(self) -> dict:

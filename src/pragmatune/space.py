@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .loops import (
@@ -59,7 +60,12 @@ class SpaceParams:
 
 @dataclass(frozen=True)
 class SpaceNode:
-    """A configuration and the nest it yields when applied to the root nest."""
+    """A configuration and the nest it yields when applied to the root nest.
+
+    The node keeps the census of its nest, built on the first child
+    query, so ``child_count``, ``child`` and ``child_index`` on one node
+    share it.
+    """
 
     config: Configuration
     nest: LoopNest
@@ -77,24 +83,41 @@ def root_node(nest: LoopNest) -> SpaceNode:
     return SpaceNode(Configuration(), nest)
 
 
-def _chain_permutations(k: int, params: SpaceParams) -> list[tuple[int, ...]]:
+@cache
+def _chain_permutations(k: int, params: SpaceParams) -> tuple[tuple[int, ...], ...]:
+    """Non-identity orders of a k-deep chain; one shared tuple per (k, params)."""
     if k < 2:
-        return []
+        return ()
     if k <= params.max_permutation_depth:
         # permutations() is lexicographic and the identity comes first
-        return list(permutations(range(k)))[1:]
+        return tuple(permutations(range(k)))[1:]
     swaps = []
     for j in range(k - 1):
         perm = list(range(k))
         perm[j], perm[j + 1] = perm[j + 1], perm[j]
         swaps.append(tuple(perm))
-    return swaps
+    return tuple(swaps)
 
 
 class _Census:
     """Per-nest loop bookkeeping behind the child-index arithmetic."""
 
+    __slots__ = (
+        "params",
+        "chain_heads",
+        "chain_perms",
+        "parallelizable",
+        "unrollable",
+        "reversible",
+        "packable",
+        "tile_block",
+        "unroll_block",
+        "section_sizes",
+        "total",
+    )
+
     def __init__(self, nest: LoopNest, params: SpaceParams):
+        self.params = params
         chains = sorted(_chains(nest), key=lambda c: c[0].id)
         self.chain_heads = [c[0].id for c in chains]
         self.chain_perms = [_chain_permutations(len(c), params) for c in chains]
@@ -104,8 +127,14 @@ class _Census:
         self.parallelizable = [l.id for l in loops]
         self.unrollable = [l.id for l in loops if l.unrollable]
         self.reversible = [l.id for l in loops if l.reversible]
+        # A loop that has packed nothing shares the nest's own array tuple.
         self.packable = [
-            (l.id, tuple(a for a in nest.arrays if a not in l.packed))
+            (
+                l.id,
+                tuple(a for a in nest.arrays if a not in l.packed)
+                if l.packed
+                else nest.arrays,
+            )
             for l in loops
         ]
         self.tile_block = len(params.tile_sizes) * len(params.peel_variants)
@@ -121,14 +150,24 @@ class _Census:
         self.total = sum(self.section_sizes)
 
 
+def _census(node: SpaceNode, params: SpaceParams) -> _Census:
+    """The node's census for ``params``, built once and kept on the node."""
+    census = node.__dict__.get("census")
+    if census is None or census.params is not params:
+        census = _Census(node.nest, params)
+        # Not a dataclass field: the frozen node's equality and hash ignore it.
+        node.__dict__["census"] = census
+    return census
+
+
 def child_count(node: SpaceNode, params: SpaceParams) -> int:
     """Number of children, computed arithmetically from the nest."""
-    return _Census(node.nest, params).total
+    return _census(node, params).total
 
 
 def child_transformation(node: SpaceNode, index: int, params: SpaceParams) -> Transformation:
     """The transformation behind child ``index`` without applying it."""
-    census = _Census(node.nest, params)
+    census = _census(node, params)
     if not 0 <= index < census.total:
         raise IndexError(f"child index {index} out of range 0..{census.total - 1}")
     offset = index
@@ -179,7 +218,7 @@ def child(node: SpaceNode, index: int, params: SpaceParams) -> SpaceNode:
 
 def child_index(node: SpaceNode, step: Transformation, params: SpaceParams) -> int:
     """Inverse of child_transformation for steps this node enumerates."""
-    census = _Census(node.nest, params)
+    census = _census(node, params)
     sizes = census.section_sizes
     base = 0
     try:

@@ -297,6 +297,13 @@ class TestConfiguration:
         assert config.key == "tile(i;32;nopeel)|unroll(i.t;full)"
         assert config.depth == 2
 
+    def test_key_is_joined_once_and_ignored_by_equality(self):
+        config = Configuration((Tile("i", 32), Unroll("i.t", None)))
+        assert config.key is config.key
+        fresh = Configuration(config.steps)
+        assert fresh == config and hash(fresh) == hash(config)
+        assert {config: 1}[fresh] == 1
+
     def test_apply_all_matches_stepwise(self):
         nest = chain_nest(2, arrays=("A",))
         config = Configuration((Tile("i0", 8), ParallelizeThread("i0.f")))

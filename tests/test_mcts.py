@@ -1,10 +1,13 @@
 """Tree search: UCT scoring, phases, depth learning, history transfer."""
 
+import gc
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from pragmatune import mcts, space
 from pragmatune.errors import RootEvaluationError
 from pragmatune.evaluators import (
     CachedEvaluator,
@@ -12,7 +15,7 @@ from pragmatune.evaluators import (
     SyntheticLandscape,
     Time,
 )
-from pragmatune.loops import Configuration, Reverse, Unroll
+from pragmatune.loops import Configuration, Interchange, Reverse, Tile, Unroll
 from pragmatune.mcts import (
     IterationLog,
     MctsParams,
@@ -112,7 +115,7 @@ def fully_expanded_root(params):
     tree = make_root(chain_nest(1), params)
     rng = random.Random(0)
     for _ in range(tree.n_children):
-        expand(tree, rng, params)
+        expand(tree, rng)
     return tree
 
 
@@ -166,15 +169,15 @@ class TestExpand:
         params = small_params()
         tree = make_root(chain_nest(1), params)
         rng = random.Random(1)
-        seen = {expand(tree, rng, params).space.key for _ in range(tree.n_children)}
+        seen = {expand(tree, rng).space.key for _ in range(tree.n_children)}
         assert len(seen) == tree.n_children
         with pytest.raises(ValueError):
-            expand(tree, rng, params)
+            expand(tree, rng)
 
     def test_child_stats_start_at_zero(self):
         params = small_params()
         tree = make_root(chain_nest(1), params)
-        child = expand(tree, random.Random(2), params)
+        child = expand(tree, random.Random(2))
         assert (child.visits, child.total_reward, child.terminal_count) == (0, 0.0, 0)
 
 
@@ -191,7 +194,7 @@ class TestAssertConsistent:
     def test_accepts_a_consistent_tree(self):
         params = small_params()
         tree = make_root(chain_nest(1), params)
-        child = expand(tree, random.Random(0), params)
+        child = expand(tree, random.Random(0))
         backpropagate([tree, child], 1.0)
         child.terminal_count += 1
         assert_consistent(tree)
@@ -199,7 +202,7 @@ class TestAssertConsistent:
     def test_rejects_an_unbalanced_tree(self):
         params = small_params()
         tree = make_root(chain_nest(1), params)
-        expand(tree, random.Random(0), params)
+        expand(tree, random.Random(0))
         tree.visits = 5
         with pytest.raises(AssertionError, match="visits"):
             assert_consistent(tree)
@@ -372,6 +375,121 @@ class TestApplyTransfer:
         apply_transfer(tree, session.records, params)
         assert len(calls) == calls_before
         assert tree.visits > 0  # the replayed paths really landed
+
+
+# Depth-2 and depth-3 records on chain_nest(2); with alpha 0.4 the two
+# fastest are reinforced and the two slowest, which share no pragma
+# identity with them, are penalized.
+DEEP_HISTORY = [
+    ([Reverse("i0"), Unroll("i1", 2), Reverse("i1")], 9.0),
+    ([Reverse("i0"), Unroll("i1", 2)], 8.0),
+    ([Interchange("i0", (1, 0)), Tile("i1", 2)], 0.5),
+    ([Tile("i0", 4), Interchange("i0.f", (1, 0, 2, 3))], 0.25),
+]
+
+
+def assert_children_extend_their_parent(node, params):
+    for index, child in node.children.items():
+        step = space.child_transformation(node.space, index, params.space)
+        assert child.space.config == node.space.config.extended(step)
+        assert_children_extend_their_parent(child, params)
+
+
+class TestLazyTree:
+    def test_a_dropped_tree_leaves_no_garbage_cycle(self):
+        params = small_params(reward=RewardParams(alpha=0.4))
+        history = history_from(DEEP_HISTORY)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            tree = make_root(chain_nest(2), params)
+            apply_transfer(tree, history, params)
+            rng = random.Random(0)
+            for _ in range(3):
+                expand(tree, rng).space
+            assert_children_extend_their_parent(tree, params)
+            del tree
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_replayed_nodes_build_their_records_prefixes(self):
+        params = small_params(reward=RewardParams(alpha=0.4))
+        history = history_from(DEEP_HISTORY)
+        paths = {}
+        apply_transfer(make_root(chain_nest(2), params), history, params, paths)
+        assert {r.key for r in history[1:]} <= set(paths)
+        # The second tree replays every record from the stored paths alone.
+        tree = make_root(chain_nest(2), params)
+        apply_transfer(tree, history, params, paths)
+        for record in history[1:]:
+            node = tree
+            for depth, step in enumerate(record.config.steps, start=1):
+                index = space.child_index(node.space, step, params.space)
+                assert index == paths[record.key][depth - 1]
+                node = node.children[index]
+                assert node.space.config == Configuration(record.config.steps[:depth])
+        assert_consistent(tree)
+        assert_children_extend_their_parent(tree, params)
+
+    def test_restart_run_builds_each_node_state_once(self, monkeypatch):
+        census_nests = []
+        apply_calls = []
+        index_paths = []
+
+        class CountingCensus(space._Census):
+            __slots__ = ()
+
+            def __init__(self, nest, params):
+                census_nests.append(nest)  # kept alive, so ids stay unique
+                super().__init__(nest, params)
+
+        def counting_apply(nest, step, apply=space.apply):
+            apply_calls.append(step)
+            return apply(nest, step)
+
+        def recording_index_path(tree, config, params, index_path=mcts._index_path):
+            index_paths.append(config)
+            return index_path(tree, config, params)
+
+        def counting_child_index(node, step, params, child_index=space.child_index):
+            child_index_calls.append(step)
+            return child_index(node, step, params)
+
+        def counting_reinforce(tree, indices, value, reinforce=mcts._reinforce):
+            reinforced.append(indices)
+            reinforce(tree, indices, value)
+
+        child_index_calls = []
+        reinforced = []
+        monkeypatch.setattr(space, "_Census", CountingCensus)
+        monkeypatch.setattr(space, "apply", counting_apply)
+        monkeypatch.setattr(space, "child_index", counting_child_index)
+        monkeypatch.setattr(mcts, "_index_path", recording_index_path)
+        monkeypatch.setattr(mcts, "_reinforce", counting_reinforce)
+
+        nest = chain_nest(3, arrays=("A", "B"))
+        params = MctsParams(per_run_budget=60, n_walks=10)
+        session = make_session(SyntheticLandscape(seed=1), max_unique=600)
+        search(session, params, nest, random.Random(1), random.Random(2))
+        phases = max(r.phase for r in session.records) + 1
+        assert phases >= 5
+
+        # One census per built space node: each phase builds one root
+        # node on the shared root nest, every other node is one apply.
+        per_nest = Counter(id(n) for n in census_nests)
+        assert per_nest.pop(id(nest)) == phases
+        assert set(per_nest.values()) <= {1}
+        assert len(census_nests) <= len(apply_calls) + phases
+
+        # Each replayed record's path is computed once per run, one
+        # child_index per step, and reused by every later phase.
+        keys = [c.key for c in index_paths]
+        assert len(keys) == len(set(keys))
+        assert len(child_index_calls) == sum(c.depth for c in index_paths)
+        assert len(reinforced) > 2 * len(keys)
 
 
 class TestSearch:

@@ -244,3 +244,14 @@ class TestLogging:
         assert back.config is None and record.config is not None
         assert back == record
         assert "config" not in record.to_dict()
+
+    def test_identities_are_kept_and_read_back_records_still_raise(self):
+        session = session_with(halver)
+        session.evaluate_root()
+        record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
+        assert record.identities is record.identities
+        back = record_from_dict(record.to_dict())
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(AttributeError):
+                back.identities
+        assert back == record
