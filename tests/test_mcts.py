@@ -438,6 +438,8 @@ class TestLazyTree:
         census_nests = []
         apply_calls = []
         index_paths = []
+        child_index_calls = []
+        reinforced = []
 
         class CountingCensus(space._Census):
             __slots__ = ()
@@ -462,8 +464,6 @@ class TestLazyTree:
             reinforced.append(indices)
             reinforce(tree, indices, value)
 
-        child_index_calls = []
-        reinforced = []
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "apply", counting_apply)
         monkeypatch.setattr(space, "child_index", counting_child_index)
