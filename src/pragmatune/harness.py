@@ -63,11 +63,11 @@ class ExperimentConfig:
     budget: Budget = field(default_factory=Budget)
     space: SpaceParams = field(default_factory=SpaceParams)
     reward: RewardParams = field(default_factory=RewardParams)
-    search: MctsParams | None = None
+    search: MctsParams = field(default_factory=MctsParams)
     out_dir: str | None = None
 
     def mcts_params(self) -> MctsParams:
-        return replace(self.search or MctsParams(), reward=self.reward, space=self.space)
+        return replace(self.search, reward=self.reward, space=self.space)
 
 
 def _take(doc: dict, key: str, cls):
@@ -125,9 +125,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         for key in ("compile_cmd", "run_cmd"):
             if not evaluator.get(key):
                 raise ExperimentConfigError(f"external evaluator needs '{key}'")
-    search = None
-    if "search" in doc:
-        search = _take(doc, "search", MctsParams)
+    search = _take(doc, "search", MctsParams)
+    for name in ("space", "reward"):
+        if name in doc.get("search", {}):
+            raise ExperimentConfigError(f"'{name}' is a top-level section, not a 'search' key")
     return ExperimentConfig(
         nest_text=nest_text,
         method=method,

@@ -112,7 +112,9 @@ def target_loop(step: Transformation) -> str:
     """The loop id a transformation acts on (the chain head for Tile/Interchange)."""
     if isinstance(step, (Tile, Interchange)):
         return step.nest_top
-    return step.loop
+    if isinstance(step, (ParallelizeThread, Unroll, Reverse, Pack)):
+        return step.loop
+    raise TypeError(f"not a transformation: {step!r}")
 
 
 def step_key(step: Transformation) -> str:
@@ -229,15 +231,27 @@ def load_loop_nest(text: str) -> LoopNest:
     return LoopNest(roots=roots, arrays=tuple(arrays))
 
 
-def _chain_heads(loop: Loop, parent: Loop | None, heads: list[Loop]) -> None:
-    """Append, in preorder, the loops of this subtree that start a chain."""
-    continues = (
+def _continues_chain(loop: Loop, parent: Loop | None) -> bool:
+    """True when ``loop`` extends its parent's perfect chain instead of heading one."""
+    return (
         loop.transformable
         and parent is not None
         and parent.transformable
         and len(parent.children) == 1
     )
-    if loop.transformable and not continues:
+
+
+def _chain_from(head: Loop) -> list[Loop]:
+    """``head`` and the single transformable children below it."""
+    chain = [head]
+    while len(chain[-1].children) == 1 and chain[-1].children[0].transformable:
+        chain.append(chain[-1].children[0])
+    return chain
+
+
+def _chain_heads(loop: Loop, parent: Loop | None, heads: list[Loop]) -> None:
+    """Append, in preorder, the loops of this subtree that start a chain."""
+    if loop.transformable and not _continues_chain(loop, parent):
         heads.append(loop)
     for child in loop.children:
         _chain_heads(child, loop, heads)
@@ -248,14 +262,7 @@ def _chains(nest: LoopNest) -> list[list[Loop]]:
     heads: list[Loop] = []
     for root in nest.roots:
         _chain_heads(root, None, heads)
-
-    chains = []
-    for head in heads:
-        chain = [head]
-        while len(chain[-1].children) == 1 and chain[-1].children[0].transformable:
-            chain.append(chain[-1].children[0])
-        chains.append(chain)
-    return chains
+    return [_chain_from(head) for head in heads]
 
 
 def perfect_nests(nest: LoopNest) -> list[list[str]]:
@@ -267,32 +274,6 @@ def perfect_nests(nest: LoopNest) -> list[list[str]]:
     return [[loop.id for loop in chain] for chain in _chains(nest)]
 
 
-def _replaced(loop: Loop, target_id: str, fn) -> tuple[Loop, ...] | None:
-    """``loop`` with ``fn(target)`` substituted, or None without the target below it."""
-    if loop.id == target_id:
-        return fn(loop)
-    for k, child in enumerate(loop.children):
-        new = _replaced(child, target_id, fn)
-        if new is not None:
-            children = loop.children[:k] + new + loop.children[k + 1 :]
-            return (replace(loop, children=children),)
-    return None
-
-
-def _replace_subtree(roots, target_id, fn):
-    """Rebuild the forest with ``fn(loop)`` substituted for the target loop.
-
-    ``fn`` returns a tuple of replacement loops (possibly empty, for full
-    unrolling of a leaf). Loop ids are unique, so only the target's
-    ancestors are rebuilt and every other subtree is shared.
-    """
-    for k, root in enumerate(roots):
-        new = _replaced(root, target_id, fn)
-        if new is not None:
-            return roots[:k] + new + roots[k + 1 :]
-    raise InvalidTargetError(f"no loop with id {target_id!r} in nest")
-
-
 def _freeze(loop: Loop) -> Loop:
     return replace(
         loop,
@@ -301,96 +282,95 @@ def _freeze(loop: Loop) -> Loop:
     )
 
 
-def _chain_for(nest: LoopNest, head_id: str) -> list[Loop]:
-    for chain in _chains(nest):
-        if chain[0].id == head_id:
-            return chain
-    raise InvalidTargetError(
-        f"loop {head_id!r} does not head a perfect nest of transformable loops"
-    )
+def _replacement(step: Transformation, loop: Loop, parent: Loop | None, arrays) -> tuple[Loop, ...]:
+    """Check ``step`` at its target ``loop`` and return the loops replacing it."""
+    if not loop.transformable:
+        raise InvalidTargetError(f"loop {loop.id!r} is not transformable")
+    match step:
+        case Tile(_, size) if size < 1:
+            raise InvalidTargetError(f"tile size must be positive, got {size}")
+        case Tile() | Interchange() if _continues_chain(loop, parent):
+            raise InvalidTargetError(
+                f"loop {loop.id!r} does not head a perfect nest of transformable loops"
+            )
+        case Tile():
+            chain = _chain_from(loop)
+            inner = chain[-1].children
+            for orig in reversed(chain):
+                inner = (Loop(id=orig.id + ID_SEP + "t", children=inner, origin="tile"),)
+            for orig in reversed(chain):
+                inner = (Loop(id=orig.id + ID_SEP + "f", children=inner, origin="floor"),)
+            return inner
+        case Interchange(_, perm):
+            chain = _chain_from(loop)
+            k = len(chain)
+            if sorted(perm) != list(range(k)):
+                raise InvalidTargetError(
+                    f"permutation {perm!r} does not fit a perfect nest of depth {k}"
+                )
+            if perm == tuple(range(k)):
+                raise InvalidTargetError("identity permutation is not a transformation")
+            inner = chain[-1].children
+            for pos in reversed(perm):
+                inner = (replace(chain[pos], children=inner),)
+            return inner
+        case ParallelizeThread():
+            return (_freeze(loop),)
+        case Unroll(_, factor):
+            if not loop.unrollable:
+                raise InvalidTargetError(f"loop {loop.id!r} may not be unrolled again")
+            if factor is None:
+                return loop.children
+            if factor < 2:
+                raise InvalidTargetError(f"unroll factor must be >= 2, got {factor}")
+            return (replace(loop, unrollable=False),)
+        case Reverse():
+            if not loop.reversible:
+                raise InvalidTargetError(f"loop {loop.id!r} may not be reversed again")
+            return (replace(loop, reversible=False),)
+        case Pack(_, array):
+            if array not in arrays:
+                raise InvalidTargetError(f"unknown array {array!r}")
+            if array in loop.packed:
+                raise InvalidTargetError(
+                    f"array {array!r} is already packed at loop {loop.id!r}"
+                )
+            return (replace(loop, packed=loop.packed | {array}),)
+
+
+def _rebuilt(loops: tuple[Loop, ...], parent: Loop | None, step, target_id: str, arrays):
+    """``loops`` with the target of ``step`` swapped for its replacement.
+
+    None when the target is neither among ``loops`` nor below them. Only
+    the target's ancestors are rebuilt; every other subtree is shared.
+    """
+    for k, loop in enumerate(loops):
+        if loop.id == target_id:
+            new = _replacement(step, loop, parent, arrays)
+        else:
+            children = _rebuilt(loop.children, loop, step, target_id, arrays)
+            if children is None:
+                continue
+            new = (replace(loop, children=children),)
+        return loops[:k] + new + loops[k + 1 :]
+    return None
 
 
 def apply(nest: LoopNest, step: Transformation) -> LoopNest:
     """Apply one transformation and return the resulting nest.
 
-    Raises InvalidTargetError when the target is missing, frozen, or
-    fails the kind-specific rules (chain headship, permutation shape,
-    consumed unroll/reverse/pack eligibility).
+    One descent from the roots finds the target, checks it and rebuilds
+    its ancestors; subtrees the step does not touch are shared with
+    ``nest``, not copied. Raises TypeError for a non-transformation and
+    InvalidTargetError when the target is missing, frozen, or fails the
+    kind-specific rules (chain headship, permutation shape, consumed
+    unroll/reverse/pack eligibility), checked in that order.
     """
-    target = nest.find(target_loop(step))
-    if not target.transformable:
-        raise InvalidTargetError(f"loop {target.id!r} is not transformable")
-
-    if isinstance(step, Tile):
-        if step.size < 1:
-            raise InvalidTargetError(f"tile size must be positive, got {step.size}")
-        chain = _chain_for(nest, step.nest_top)
-        body = chain[-1].children
-        inner = body
-        for orig in reversed(chain):
-            inner = (Loop(id=orig.id + ID_SEP + "t", children=inner, origin="tile"),)
-        for orig in reversed(chain):
-            inner = (Loop(id=orig.id + ID_SEP + "f", children=inner, origin="floor"),)
-        roots = _replace_subtree(nest.roots, chain[0].id, lambda _: inner)
-        return replace(nest, roots=roots)
-
-    if isinstance(step, Interchange):
-        chain = _chain_for(nest, step.nest_top)
-        k = len(chain)
-        perm = step.permutation
-        if sorted(perm) != list(range(k)):
-            raise InvalidTargetError(
-                f"permutation {perm!r} does not fit a perfect nest of depth {k}"
-            )
-        if perm == tuple(range(k)):
-            raise InvalidTargetError("identity permutation is not a transformation")
-        body = chain[-1].children
-        inner = body
-        for pos in reversed(perm):
-            inner = (replace(chain[pos], children=inner),)
-        roots = _replace_subtree(nest.roots, chain[0].id, lambda _: inner)
-        return replace(nest, roots=roots)
-
-    if isinstance(step, ParallelizeThread):
-        roots = _replace_subtree(nest.roots, target.id, lambda l: (_freeze(l),))
-        return replace(nest, roots=roots)
-
-    if isinstance(step, Unroll):
-        if not target.unrollable:
-            raise InvalidTargetError(f"loop {target.id!r} may not be unrolled again")
-        if step.factor is None:
-            roots = _replace_subtree(nest.roots, target.id, lambda l: l.children)
-            return replace(nest, roots=roots)
-        if step.factor < 2:
-            raise InvalidTargetError(f"unroll factor must be >= 2, got {step.factor}")
-        roots = _replace_subtree(
-            nest.roots, target.id, lambda l: (replace(l, unrollable=False),)
-        )
-        return replace(nest, roots=roots)
-
-    if isinstance(step, Reverse):
-        if not target.reversible:
-            raise InvalidTargetError(f"loop {target.id!r} may not be reversed again")
-        roots = _replace_subtree(
-            nest.roots, target.id, lambda l: (replace(l, reversible=False),)
-        )
-        return replace(nest, roots=roots)
-
-    if isinstance(step, Pack):
-        if step.array not in nest.arrays:
-            raise InvalidTargetError(f"unknown array {step.array!r}")
-        if step.array in target.packed:
-            raise InvalidTargetError(
-                f"array {step.array!r} is already packed at loop {target.id!r}"
-            )
-        roots = _replace_subtree(
-            nest.roots,
-            target.id,
-            lambda l: (replace(l, packed=l.packed | {step.array}),),
-        )
-        return replace(nest, roots=roots)
-
-    raise TypeError(f"not a transformation: {step!r}")
+    target_id = target_loop(step)
+    roots = _rebuilt(nest.roots, None, step, target_id, nest.arrays)
+    if roots is None:
+        raise InvalidTargetError(f"no loop with id {target_id!r} in nest")
+    return replace(nest, roots=roots)
 
 
 def apply_all(nest: LoopNest, config: Configuration) -> LoopNest:

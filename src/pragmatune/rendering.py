@@ -37,6 +37,7 @@ def pragma_clause(step: Transformation) -> str:
     floor loops tiled out of it) carry an explicit ``id(...)`` clause;
     the default target needs none, matching how stacked pragmas read.
     """
+    target = target_loop(step)
     match step:
         case Tile(_, size, peel):
             clause = f"tile sizes({size})"
@@ -54,9 +55,6 @@ def pragma_clause(step: Transformation) -> str:
             clause = "reverse"
         case Pack(_, array):
             clause = f"pack array({array})"
-        case _:
-            raise TypeError(f"not a transformation: {step!r}")
-    target = target_loop(step)
     if not is_floor_lineage(target):
         clause += f" id({target})"
     return clause

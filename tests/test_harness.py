@@ -108,6 +108,14 @@ class TestLoadExperimentConfig:
         with pytest.raises(ExperimentConfigError):
             load_experiment_config(experiment_dir / "nest.json")  # no 'nest' key
 
+    def test_search_may_not_hold_space_or_reward(self, experiment_dir):
+        # Inside 'search' these sections would bypass their own validation
+        # and then be silently replaced by the top-level ones.
+        for name, section in (("space", {"d_max": 1}), ("reward", {"alpha": 0.9})):
+            path = write_experiment(experiment_dir, search={"n_walks": 4, name: section})
+            with pytest.raises(ExperimentConfigError, match=f"'{name}' is a top-level section"):
+                load_experiment_config(path)
+
     def test_external_evaluator_loads_the_template(self, experiment_dir):
         (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
         path = write_experiment(

@@ -348,6 +348,13 @@ class TestStepText:
         assert target_loop(Pack("k", "A")) == "k"
         assert target_loop(Unroll("m", 2)) == "m"
 
+    def test_non_transformations_raise_type_error(self):
+        nest = chain_nest(1)
+        for call in (target_loop, step_key, pragma_identity, lambda s: apply(nest, s)):
+            for step in ("x", None, Loop("i0")):
+                with pytest.raises(TypeError, match="not a transformation"):
+                    call(step)
+
 
 class TestIdLineage:
     def test_anchor_id(self):

@@ -33,6 +33,8 @@ class TestPragmaClause:
         assert pragma_clause(Unroll("i", 4)) == "unrolling factor(4)"
         assert pragma_clause(Reverse("i")) == "reverse"
         assert pragma_clause(Pack("i", "A")) == "pack array(A)"
+        with pytest.raises(TypeError, match="not a transformation"):
+            pragma_clause("x")
 
     def test_id_clause_only_outside_floor_lineage(self):
         assert pragma_clause(Reverse("i")) == "reverse"

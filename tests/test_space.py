@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pragmatune.errors import InvalidTargetError
 from pragmatune.loops import (
     Interchange,
     Loop,
@@ -14,6 +17,8 @@ from pragmatune.loops import (
     Tile,
     Unroll,
     apply,
+    perfect_nests,
+    target_loop,
 )
 from pragmatune.space import (
     SpaceParams,
@@ -206,3 +211,86 @@ class TestSpaceParams:
             SpaceParams(peel_variants=(True, True))
         with pytest.raises(ValueError):
             SpaceParams(max_permutation_depth=1)
+
+
+@st.composite
+def random_nodes(draw):
+    """A random nest of 1-5 loops and 0-2 arrays, often one step deep.
+
+    The step, when taken, is a uniform child of the root, so derived
+    loop ids such as ``a.f``/``a.t`` appear in the nest.
+    """
+    # A seeded Random keeps random_nest's intended mix; hypothesis' own
+    # random skews toward one- or two-loop, mostly frozen nests.
+    rng = draw(st.randoms(use_true_random=True))
+    params = random_params(rng)
+    node = root_node(random_nest(rng, max_loops=5))
+    n = child_count(node, params)
+    if n and draw(st.booleans()):
+        node = child(node, rng.randrange(n), params)
+    return node, params
+
+
+def path_to(loops, loop_id):
+    """The loops from a root down to ``loop_id``; empty when it is absent."""
+    for loop in loops:
+        if loop.id == loop_id:
+            return [loop]
+        below = path_to(loop.children, loop_id)
+        if below:
+            return [loop] + below
+    return []
+
+
+def untouched(nest, step):
+    """Input subtrees ``apply(nest, step)`` must share, not copy.
+
+    These are the siblings of the target and of each of its ancestors,
+    plus the body the step leaves alone: the loops below a tiled or
+    interchanged chain, and the children of an unrolled, reversed or
+    packed loop. Parallelization rebuilds the target's whole subtree.
+    """
+    path = path_to(nest.roots, target_loop(step))
+    levels = [nest.roots] + [loop.children for loop in path[:-1]]
+    kept = [s for level, on_path in zip(levels, path) for s in level if s is not on_path]
+    body = path[-1]
+    if isinstance(step, (Tile, Interchange)):
+        while len(body.children) == 1 and body.children[0].transformable:
+            body = body.children[0]
+    if not isinstance(step, ParallelizeThread):
+        kept.extend(body.children)
+    return kept
+
+
+class TestRandomNestProperties:
+    @settings(max_examples=150)
+    @given(random_nodes())
+    def test_tile_applies_exactly_at_chain_heads(self, case):
+        node, _ = case
+        heads = {chain[0] for chain in perfect_nests(node.nest)}
+        for loop in node.nest.walk():
+            try:
+                apply(node.nest, Tile(loop.id, 2))
+            except InvalidTargetError:
+                assert loop.id not in heads
+            else:
+                assert loop.id in heads
+
+    @settings(max_examples=150)
+    @given(random_nodes())
+    def test_apply_shares_every_untouched_subtree(self, case):
+        node, params = case
+        for i in range(child_count(node, params)):
+            step = child_transformation(node, i, params)
+            result = apply(node.nest, step)
+            present = {id(loop) for loop in result.walk()}
+            for subtree in untouched(node.nest, step):
+                assert id(subtree) in present, (step, subtree.id)
+
+    @settings(max_examples=150)
+    @given(random_nodes())
+    def test_child_index_inverts_child_transformation(self, case):
+        node, params = case
+        for i in range(child_count(node, params)):
+            child(node, i, params)
+            assert child_index(node, child_transformation(node, i, params), params) == i
