@@ -127,7 +127,8 @@ class SyntheticLandscape:
     pair, both keyed by the step's kind and parameters (loop ids
     ignored) and derived from ``seed`` by hashing, so an outcome is a
     pure function of (seed, configuration key). Explicit ``multipliers``
-    and ``interactions`` override the hashed tables.
+    and ``interactions`` override the hashed tables; a hashed factor is
+    drawn once and kept in the instance's table beside them.
 
     Failures: a configuration packing after a tile of size >=
     ``pack_conflict_size`` fails to compile, as does a seeded
@@ -165,17 +166,20 @@ class SyntheticLandscape:
         return int.from_bytes(digest[:8], "big") / 2**64
 
     def _multiplier(self, identity: tuple) -> float:
-        if identity in self._multipliers:
-            return self._multipliers[identity]
-        lo, hi = self.multiplier_range
-        return lo + self._unit("mul", identity) * (hi - lo)
+        factor = self._multipliers.get(identity)
+        if factor is None:
+            lo, hi = self.multiplier_range
+            factor = self._multipliers[identity] = lo + self._unit("mul", identity) * (hi - lo)
+        return factor
 
     def _interaction(self, a: tuple, b: tuple) -> float:
         pair = frozenset((a, b))
-        if pair in self._interactions:
-            return self._interactions[pair]
-        lo, hi = self.interaction_range
-        return lo + self._unit("pair", tuple(sorted((a, b), key=repr))) * (hi - lo)
+        factor = self._interactions.get(pair)
+        if factor is None:
+            lo, hi = self.interaction_range
+            unit = self._unit("pair", tuple(sorted((a, b), key=repr)))
+            factor = self._interactions[pair] = lo + unit * (hi - lo)
+        return factor
 
     def _fails(self, config: Configuration) -> str | None:
         if not config.steps:

@@ -85,6 +85,15 @@ def _take(doc: dict, key: str, cls):
         raise ExperimentConfigError(f"bad '{key}' section: {exc}") from exc
 
 
+def _convert(section: dict, key: str, kind: type, where: str = "") -> None:
+    """Convert ``section[key]``, when present, to ``kind`` in place."""
+    if key in section:
+        try:
+            section[key] = kind(section[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ExperimentConfigError(f"'{where}{key}' must be a number: {exc}") from exc
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment file; paths resolve beside it."""
     path = Path(path)
@@ -98,6 +107,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ExperimentConfigError(f"unsupported version {doc.get('version')!r}")
     if "nest" not in doc:
         raise ExperimentConfigError("experiment file needs a 'nest' path")
+    if not isinstance(doc["nest"], str) or not isinstance(doc.get("out"), (str, type(None))):
+        raise ExperimentConfigError("'nest' and 'out' must be path strings")
+    _convert(doc, "seed", int)
     base_dir = path.parent
     nest_path = base_dir / doc["nest"]
     try:
@@ -114,6 +126,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     ):
         raise ExperimentConfigError("evaluator.type must be 'synthetic' or 'external'")
     evaluator = dict(evaluator)
+    for key in ("base_time", "failure_rate", "repetitions", "timeout_s"):
+        _convert(evaluator, key, int if key == "repetitions" else float, "evaluator.")
     if evaluator.get("type", "synthetic") == "external":
         template_path = evaluator.get("source_template")
         if not template_path:
@@ -132,7 +146,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(
         nest_text=nest_text,
         method=method,
-        seed=int(doc.get("seed", 0)),
+        seed=doc.get("seed", 0),
         evaluator=evaluator,
         budget=_take(doc, "budget", Budget),
         space=_take(doc, "space", SpaceParams),

@@ -63,9 +63,9 @@ class SearchNode:
     for every node visits == sum(child visits) + terminal_count.
 
     A node made by ``_get_or_create`` starts as its child index and
-    statistics only; ``space`` (one ``apply``) and ``n_children`` (one
-    census) are built on first read, so nodes that only history
-    transfer touches are never built. Tree nodes hold no strong parent
+    statistics only; ``space`` and ``n_children`` (one census, which
+    applies the node's step) are built on first read, so nodes that only
+    history transfer touches are never built. Tree nodes hold no strong parent
     reference: a child reaches its parent through a weak reference, so
     a dropped tree holds no reference cycle and is freed at once.
     """

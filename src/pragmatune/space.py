@@ -58,17 +58,30 @@ class SpaceParams:
             raise ValueError("max_permutation_depth must be >= 2")
 
 
-@dataclass(frozen=True)
 class SpaceNode:
     """A configuration and the nest it yields when applied to the root nest.
 
-    The node keeps the census of its nest, built on the first child
-    query, so ``child_count``, ``child`` and ``child_index`` on one node
-    share it.
+    A child holds its parent's nest until ``nest`` is first read, which
+    applies its last step, so a node whose children are never counted
+    never pays for an apply. The node keeps its census, built on the
+    first child query and shared by ``child_count``, ``child`` and
+    ``child_index``.
     """
 
-    config: Configuration
-    nest: LoopNest
+    __slots__ = ("config", "_nest", "_pending", "census")
+
+    def __init__(self, config: Configuration, nest: LoopNest, pending: bool = False):
+        self.config = config
+        self._nest = nest  # the parent's nest while ``pending``
+        self._pending = pending
+        self.census: _Census | None = None
+
+    @property
+    def nest(self) -> LoopNest:
+        if self._pending:
+            self._nest = apply(self._nest, self.config.steps[-1])
+            self._pending = False
+        return self._nest
 
     @property
     def depth(self) -> int:
@@ -152,11 +165,9 @@ class _Census:
 
 def _census(node: SpaceNode, params: SpaceParams) -> _Census:
     """The node's census for ``params``, built once and kept on the node."""
-    census = node.__dict__.get("census")
+    census = node.census
     if census is None or census.params is not params:
-        census = _Census(node.nest, params)
-        # Not a dataclass field: the frozen node's equality and hash ignore it.
-        node.__dict__["census"] = census
+        census = node.census = _Census(node.nest, params)
     return census
 
 
@@ -211,9 +222,9 @@ def child_transformation(node: SpaceNode, index: int, params: SpaceParams) -> Tr
 
 
 def child(node: SpaceNode, index: int, params: SpaceParams) -> SpaceNode:
-    """Materialize child ``index``: extend the configuration, apply the step."""
+    """Child ``index``: the extended configuration, its step applied on first read of ``nest``."""
     step = child_transformation(node, index, params)
-    return SpaceNode(node.config.extended(step), apply(node.nest, step))
+    return SpaceNode(node.config.extended(step), node.nest, pending=True)
 
 
 def child_index(node: SpaceNode, step: Transformation, params: SpaceParams) -> int:

@@ -112,6 +112,57 @@ class TestSyntheticLandscape:
             SyntheticLandscape(seed=0, failure_rate=1.0)
 
 
+# Configurations that share steps, so a warmed landscape reuses factors.
+MIXED = [
+    cfg(Reverse("i")),
+    cfg(Reverse("i"), Unroll("j", 4)),
+    cfg(Unroll("j", 4), Tile("i", 8, True), Reverse("i.t")),
+    cfg(ParallelizeThread("i"), Reverse("j"), Unroll("j", 4), Tile("k", 8, True)),
+    cfg(Tile("i", 8, True), Pack("i.t", "A"), Reverse("i.f"), Unroll("i.t", 2)),
+]
+
+
+class TestLandscapeMemo:
+    def test_warmed_instance_matches_fresh_ones(self):
+        for seed in range(5):
+            warmed = SyntheticLandscape(seed=seed, failure_rate=0.3)
+            for config in MIXED:
+                warmed(config)
+            for config in reversed(MIXED):
+                assert warmed(config) == SyntheticLandscape(seed=seed, failure_rate=0.3)(config)
+
+    def test_explicit_tables_still_win(self):
+        multipliers = {("reverse",): 0.25, ("unroll", 4): 3.0}
+        interactions = {frozenset({("reverse",), ("unroll", 4)}): 2.0}
+        landscape = SyntheticLandscape(
+            seed=6, failure_rate=0.0, multipliers=multipliers, interactions=interactions
+        )
+        plain = SyntheticLandscape(seed=6, failure_rate=0.0)
+        for _ in range(2):
+            for config in MIXED:
+                landscape(config)
+            assert landscape(cfg(Reverse("i"), Unroll("j", 4))) == Time(pytest.approx(1.5))
+            # Identities without an explicit entry keep their hashed factors.
+            assert landscape(cfg(Tile("i", 8, True))) == plain(cfg(Tile("i", 8, True)))
+        # The caller's tables are copied, never filled with hashed factors.
+        assert multipliers == {("reverse",): 0.25, ("unroll", 4): 3.0}
+        assert interactions == {frozenset({("reverse",), ("unroll", 4)}): 2.0}
+
+    def test_instances_with_different_seeds_share_no_factor(self):
+        one = SyntheticLandscape(seed=1, failure_rate=0.0)
+        two = SyntheticLandscape(seed=2, failure_rate=0.0)
+        for config in MIXED:
+            one(config)
+        for config in MIXED:
+            assert two(config) == SyntheticLandscape(seed=2, failure_rate=0.0)(config)
+        assert one._multipliers and one._interactions
+        assert one._multipliers.keys() == two._multipliers.keys()
+        for identity, factor in one._multipliers.items():
+            assert two._multipliers[identity] != factor
+        for pair, factor in one._interactions.items():
+            assert two._interactions[pair] != factor
+
+
 class TestCachedEvaluator:
     def test_inner_runs_once_per_key(self):
         calls = []

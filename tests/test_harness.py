@@ -116,6 +116,38 @@ class TestLoadExperimentConfig:
             with pytest.raises(ExperimentConfigError, match=f"'{name}' is a top-level section"):
                 load_experiment_config(path)
 
+    def test_bad_scalar_fields_are_config_errors(self, experiment_dir):
+        (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
+        external = {
+            "type": "external",
+            "source_template": "kernel.c",
+            "compile_cmd": "cc {src} -o {out}",
+            "run_cmd": "{out}",
+        }
+        cases = [
+            ({"seed": "abc"}, "'seed'"),
+            ({"seed": float("inf")}, "'seed'"),
+            ({"nest": 5}, "'nest'"),
+            ({"out": 5}, "'out'"),
+            ({"evaluator": {"type": "synthetic", "base_time": "x"}}, "'evaluator.base_time'"),
+            ({"evaluator": {"failure_rate": None}}, "'evaluator.failure_rate'"),
+            ({"evaluator": {**external, "repetitions": "many"}}, "'evaluator.repetitions'"),
+            ({"evaluator": {**external, "timeout_s": [60]}}, "'evaluator.timeout_s'"),
+        ]
+        for overrides, field in cases:
+            path = write_experiment(experiment_dir, **overrides)
+            with pytest.raises(ExperimentConfigError, match=field):
+                load_experiment_config(path)
+
+    def test_numeric_fields_load_as_numbers(self, experiment_dir):
+        path = write_experiment(
+            experiment_dir, seed="12", out="run", evaluator={"base_time": 2, "failure_rate": 0}
+        )
+        config = load_experiment_config(path)
+        assert config.seed == 12 and config.out_dir == "run"
+        assert config.evaluator["base_time"] == 2.0
+        assert build_evaluator(config)[0].failure_rate == 0.0
+
     def test_external_evaluator_loads_the_template(self, experiment_dir):
         (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
         path = write_experiment(
@@ -286,6 +318,11 @@ class TestCli:
         assert lines[0] == "depth\tnodes"
         assert lines[1] == "0\t1"
         assert lines[2] == "1\t35"
+
+    def test_bad_scalar_field_exits_with_two(self, experiment_dir, capsys):
+        path = write_experiment(experiment_dir, seed="abc")
+        assert main(["tune", "--config", str(path)]) == 2
+        assert "error: 'seed' must be a number" in capsys.readouterr().err
 
     def test_errors_exit_with_two(self, experiment_dir, capsys):
         assert main(["tune", "--config", str(experiment_dir / "nope.json")]) == 2

@@ -483,6 +483,9 @@ class TestLazyTree:
         assert per_nest.pop(id(nest)) == phases
         assert set(per_nest.values()) <= {1}
         assert len(census_nests) <= len(apply_calls) + phases
+        # A node's nest is built only when its children are counted: one
+        # apply per counted non-root node, none for uncounted leaves.
+        assert len(apply_calls) == len(census_nests) - phases
 
         # Each replayed record's path is computed once per run, one
         # child_index per step, and reused by every later phase.

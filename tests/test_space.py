@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pragmatune import space
 from pragmatune.errors import InvalidTargetError
 from pragmatune.loops import (
     Interchange,
@@ -154,6 +155,30 @@ class TestIndexing:
         assert grand.config.steps[0] == Tile("i0", 2, False)
 
 
+class TestLazyNest:
+    def test_child_applies_its_step_on_the_first_nest_read_only(self, monkeypatch):
+        calls = []
+
+        def counting_apply(nest, step, apply=space.apply):
+            calls.append(step)
+            return apply(nest, step)
+
+        params = SpaceParams()
+        root = root_node(chain_nest(2, arrays=("A",)))
+        parent = child(root, child_index(root, Tile("i0", 4, True), params), params)
+        parent_nest = parent.nest
+        monkeypatch.setattr(space, "apply", counting_apply)
+        for i in range(child_count(parent, params)):
+            step = child_transformation(parent, i, params)
+            node = child(parent, i, params)
+            assert calls == []
+            first = node.nest
+            assert calls == [step]
+            assert node.nest is first and calls == [step]
+            assert first == apply(parent_nest, step)
+            calls.clear()
+
+
 class TestRandomWalk:
     def test_reaches_requested_depth(self):
         rng = random.Random(7)
@@ -292,5 +317,5 @@ class TestRandomNestProperties:
     def test_child_index_inverts_child_transformation(self, case):
         node, params = case
         for i in range(child_count(node, params)):
-            child(node, i, params)
+            child(node, i, params).nest  # every enumerated child applies
             assert child_index(node, child_transformation(node, i, params), params) == i
