@@ -11,6 +11,7 @@ evaluator.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import logging
@@ -94,6 +95,15 @@ def _convert(section: dict, key: str, kind: type, where: str = "") -> None:
             raise ExperimentConfigError(f"'{where}{key}' must be a number: {exc}") from exc
 
 
+# Numeric evaluator fields: the type each converts to and the range it must lie in.
+_EVALUATOR_FIELDS = (
+    ("base_time", float, lambda v: v > 0, "> 0"),
+    ("failure_rate", float, lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("repetitions", int, lambda v: v >= 1, ">= 1"),
+    ("timeout_s", float, lambda v: v > 0, "> 0"),
+)
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment file; paths resolve beside it."""
     path = Path(path)
@@ -126,8 +136,12 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     ):
         raise ExperimentConfigError("evaluator.type must be 'synthetic' or 'external'")
     evaluator = dict(evaluator)
-    for key in ("base_time", "failure_rate", "repetitions", "timeout_s"):
-        _convert(evaluator, key, int if key == "repetitions" else float, "evaluator.")
+    for key, kind, in_range, bound in _EVALUATOR_FIELDS:
+        _convert(evaluator, key, kind, "evaluator.")
+        if key in evaluator and not in_range(evaluator[key]):
+            raise ExperimentConfigError(
+                f"'evaluator.{key}' must be {bound}, got {evaluator[key]!r}"
+            )
     if evaluator.get("type", "synthetic") == "external":
         template_path = evaluator.get("source_template")
         if not template_path:
@@ -208,29 +222,41 @@ def build_evaluator(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Run one method on one nest and return (and optionally persist) results."""
+    """Run one method on one nest and return (and optionally persist) results.
+
+    Cyclic garbage collection is off during the search, then restored:
+    a search makes no reference cycles per evaluation, so reference
+    counting frees all it drops and the collector would only rescan
+    live objects.
+    """
     nest = load_loop_nest(config.nest_text)
     evaluator, clock = build_evaluator(config)
     session = SearchSession(
         CachedEvaluator(evaluator), config.budget, clock, method=config.method
     )
     logger.info("run: method=%s seed=%d", config.method, config.seed)
-    if config.method == "mcts":
-        best, records = mcts.search(
-            session,
-            config.mcts_params(),
-            nest,
-            rng_walks=random.Random(derive_seed(config.seed, "walks")),
-            rng_expand=random.Random(derive_seed(config.seed, "expand")),
-        )
-    elif config.method == "rs":
-        best, records = baselines.random_search(
-            session, nest, config.space, random.Random(derive_seed(config.seed, "search"))
-        )
-    elif config.method == "bf":
-        best, records = baselines.breadth_first(session, nest, config.space)
-    else:
-        best, records = baselines.global_greedy(session, nest, config.space)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if config.method == "mcts":
+            best, records = mcts.search(
+                session,
+                config.mcts_params(),
+                nest,
+                rng_walks=random.Random(derive_seed(config.seed, "walks")),
+                rng_expand=random.Random(derive_seed(config.seed, "expand")),
+            )
+        elif config.method == "rs":
+            best, records = baselines.random_search(
+                session, nest, config.space, random.Random(derive_seed(config.seed, "search"))
+            )
+        elif config.method == "bf":
+            best, records = baselines.breadth_first(session, nest, config.space)
+        else:
+            best, records = baselines.global_greedy(session, nest, config.space)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
     summary = ExperimentSummary(
         method=config.method,

@@ -189,6 +189,26 @@ def is_floor_lineage(loop_id: str) -> bool:
     return all(part == "f" for part in loop_id.split(ID_SEP)[1:])
 
 
+def _parsed_loop(entry: object, seen: set[str]) -> Loop:
+    """One loop entry and its children; ``seen`` collects the ids parsed so far."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
+        raise NestParseError(f"loop entry must be an object with an 'id': {entry!r}")
+    loop_id = entry["id"]
+    if not loop_id or ID_SEP in loop_id:
+        raise NestParseError(f"loop id must be non-empty and contain no '.': {loop_id!r}")
+    if loop_id in seen:
+        raise DuplicateLoopIdError(f"duplicate loop id {loop_id!r}")
+    seen.add(loop_id)
+    children = entry.get("children", [])
+    if not isinstance(children, list):
+        raise NestParseError(f"'children' of {loop_id!r} must be a list")
+    return Loop(
+        id=loop_id,
+        children=tuple(_parsed_loop(c, seen) for c in children),
+        transformable=bool(entry.get("transformable", True)),
+    )
+
+
 def load_loop_nest(text: str) -> LoopNest:
     """Parse a nest description document (JSON with ``loops`` and ``arrays``).
 
@@ -203,26 +223,7 @@ def load_loop_nest(text: str) -> LoopNest:
     if not isinstance(doc, dict) or not isinstance(doc.get("loops"), list):
         raise NestParseError("nest document must be an object with a 'loops' list")
     seen: set[str] = set()
-
-    def build(entry: object) -> Loop:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            raise NestParseError(f"loop entry must be an object with an 'id': {entry!r}")
-        loop_id = entry["id"]
-        if not loop_id or ID_SEP in loop_id:
-            raise NestParseError(f"loop id must be non-empty and contain no '.': {loop_id!r}")
-        if loop_id in seen:
-            raise DuplicateLoopIdError(f"duplicate loop id {loop_id!r}")
-        seen.add(loop_id)
-        children = entry.get("children", [])
-        if not isinstance(children, list):
-            raise NestParseError(f"'children' of {loop_id!r} must be a list")
-        return Loop(
-            id=loop_id,
-            children=tuple(build(c) for c in children),
-            transformable=bool(entry.get("transformable", True)),
-        )
-
-    roots = tuple(build(e) for e in doc["loops"])
+    roots = tuple(_parsed_loop(e, seen) for e in doc["loops"])
     arrays = doc.get("arrays", [])
     if not isinstance(arrays, list) or not all(isinstance(a, str) and a for a in arrays):
         raise NestParseError("'arrays' must be a list of non-empty strings")

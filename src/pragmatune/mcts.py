@@ -5,7 +5,8 @@ the accumulated history onto it (upper-tail paths reinforced, penalized
 lower-tail paths discouraged, no evaluations spent), learn a target
 depth from random walks, then iterate UCT selection at that depth until
 the phase converges or exhausts its per-phase evaluation budget. The
-history survives restarts; the tree does not.
+history survives restarts; the tree does not, but the space nodes the
+last phase built (and their censuses) are handed to the next tree.
 """
 
 from __future__ import annotations
@@ -56,6 +57,31 @@ class MctsParams:
             raise ValueError("convergence limits must be >= 1")
 
 
+class _SpaceNodes:
+    """A run's root space node and the children built in this phase and the last.
+
+    Keyed by (parent space node, child index), by identity; a tree asks for
+    each key once. ``restart`` drops what the ended phase did not ask for.
+    """
+
+    __slots__ = ("params", "root", "current", "previous")
+
+    def __init__(self, nest: LoopNest, params: SpaceParams):
+        self.params = params
+        self.root = space.root_node(nest)
+        self.current: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
+        self.previous: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
+
+    def child(self, parent: space.SpaceNode, index: int) -> space.SpaceNode:
+        key = (parent, index)
+        node = self.previous.get(key) or space.child(parent, index, self.params)
+        self.current[key] = node
+        return node
+
+    def restart(self) -> None:
+        self.previous, self.current = self.current, {}
+
+
 class SearchNode:
     """One tree node: a space node plus visit statistics.
 
@@ -65,16 +91,17 @@ class SearchNode:
     A node made by ``_get_or_create`` starts as its child index and
     statistics only; ``space`` and ``n_children`` (one census, which
     applies the node's step) are built on first read, so nodes that only
-    history transfer touches are never built. Tree nodes hold no strong parent
-    reference: a child reaches its parent through a weak reference, so
-    a dropped tree holds no reference cycle and is freed at once.
+    history transfer touches are never built; ``nodes`` hands out the
+    space nodes. Tree nodes hold no strong parent reference: a child
+    reaches its parent through a weak reference, so a dropped tree holds
+    no reference cycle and is freed at once.
     """
 
     __slots__ = (
         "_space",
         "_n_children",
         "_parent",
-        "_params",
+        "_nodes",
         "index",
         "visits",
         "total_reward",
@@ -87,13 +114,13 @@ class SearchNode:
         self,
         space_node: space.SpaceNode | None,
         n_children: int | None,
-        params: SpaceParams | None = None,
+        nodes: _SpaceNodes | None = None,
         parent: SearchNode | None = None,
         index: int = -1,
     ):
         self._space = space_node
         self._n_children = n_children
-        self._params = params
+        self._nodes = nodes
         self._parent = None if parent is None else weakref.ref(parent)
         self.index = index
         self.visits = 0
@@ -104,13 +131,13 @@ class SearchNode:
     @property
     def space(self) -> space.SpaceNode:
         if self._space is None:
-            self._space = space.child(self._parent().space, self.index, self._params)
+            self._space = self._nodes.child(self._parent().space, self.index)
         return self._space
 
     @property
     def n_children(self) -> int:
         if self._n_children is None:
-            self._n_children = space.child_count(self.space, self._params)
+            self._n_children = space.child_count(self.space, self._nodes.params)
         return self._n_children
 
     @property
@@ -119,7 +146,8 @@ class SearchNode:
 
 
 def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:
-    return SearchNode(space.root_node(nest), None, params.space)
+    nodes = _SpaceNodes(nest, params.space)
+    return SearchNode(nodes.root, None, nodes)
 
 
 def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
@@ -158,7 +186,7 @@ def _get_or_create(node: SearchNode, index: int) -> SearchNode:
     """Child ``index`` of ``node``, created unbuilt on first use."""
     child = node.children.get(index)
     if child is None:
-        child = SearchNode(None, None, node._params, node, index)
+        child = SearchNode(None, None, node._nodes, node, index)
         node.children[index] = child
     return child
 
@@ -343,8 +371,10 @@ def search(
     session.evaluate_root(target)
     phase = 0
     paths: dict[str, tuple[int, ...]] = {}
+    nodes = _SpaceNodes(nest, params.space)
     while not session.out_of_budget():
-        tree = make_root(nest, params)
+        nodes.restart()
+        tree = SearchNode(nodes.root, None, nodes)
         if tree.n_children == 0:
             break
         apply_transfer(tree, session.records, params, paths)

@@ -68,7 +68,7 @@ class SpaceNode:
     ``child_index``.
     """
 
-    __slots__ = ("config", "_nest", "_pending", "census")
+    __slots__ = ("config", "_nest", "_pending", "census", "__weakref__")
 
     def __init__(self, config: Configuration, nest: LoopNest, pending: bool = False):
         self.config = config

@@ -1,13 +1,15 @@
 """Experiment files, orchestration, persistence, and the command line."""
 
+import gc
 import json
 import logging
 
 import pytest
 
+from pragmatune import harness
 from pragmatune.cli import main
-from pragmatune.errors import ExperimentConfigError
-from pragmatune.evaluators import SyntheticLandscape
+from pragmatune.errors import ExperimentConfigError, RootEvaluationError
+from pragmatune.evaluators import CompileFailure, SyntheticLandscape
 from pragmatune.harness import (
     LOG_ENV_VAR,
     ExperimentConfig,
@@ -139,6 +141,32 @@ class TestLoadExperimentConfig:
             with pytest.raises(ExperimentConfigError, match=field):
                 load_experiment_config(path)
 
+    def test_out_of_range_evaluator_fields_are_config_errors(self, experiment_dir):
+        (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
+        external = {
+            "type": "external",
+            "source_template": "kernel.c",
+            "compile_cmd": "cc {src} -o {out}",
+            "run_cmd": "{out}",
+        }
+        cases = [
+            ({"base_time": -1}, "'evaluator.base_time' must be > 0"),
+            ({"base_time": 0}, "'evaluator.base_time' must be > 0"),
+            ({"base_time": float("nan")}, "'evaluator.base_time' must be > 0"),
+            ({"failure_rate": 1.5}, r"'evaluator.failure_rate' must be in \[0, 1\)"),
+            ({"failure_rate": 1}, r"'evaluator.failure_rate' must be in \[0, 1\)"),
+            ({"failure_rate": -0.1}, r"'evaluator.failure_rate' must be in \[0, 1\)"),
+            ({**external, "repetitions": 0}, "'evaluator.repetitions' must be >= 1"),
+            ({**external, "timeout_s": 0}, "'evaluator.timeout_s' must be > 0"),
+            ({**external, "timeout_s": -5}, "'evaluator.timeout_s' must be > 0"),
+        ]
+        for evaluator, message in cases:
+            path = write_experiment(experiment_dir, evaluator=evaluator)
+            with pytest.raises(ExperimentConfigError, match=message):
+                load_experiment_config(path)
+        edges = {**external, "repetitions": 1, "timeout_s": 0.5}
+        assert load_experiment_config(write_experiment(experiment_dir, evaluator=edges))
+
     def test_numeric_fields_load_as_numbers(self, experiment_dir):
         path = write_experiment(
             experiment_dir, seed="12", out="run", evaluator={"base_time": 2, "failure_rate": 0}
@@ -222,6 +250,60 @@ class TestRunExperiment:
         on_disk = json.loads(summary_path.read_text())
         assert on_disk == summary.to_dict()
         assert on_disk["best_key"] == summary.best_key
+
+    def test_cyclic_gc_is_suspended_for_the_search_only(self, experiment_dir, monkeypatch):
+        states = []
+
+        def watched(config, build=harness.build_evaluator):
+            landscape, clock = build(config)
+
+            def evaluate(cfg):
+                states.append(gc.isenabled())
+                return CompileFailure("no baseline") if fail_root else landscape(cfg)
+
+            return evaluate, clock
+
+        monkeypatch.setattr(harness, "build_evaluator", watched)
+        config = load_experiment_config(write_experiment(experiment_dir))
+        was_enabled = gc.isenabled()
+        try:
+            for enabled_before in (True, False):
+                for fail_root in (False, True):
+                    gc.enable() if enabled_before else gc.disable()
+                    states.clear()
+                    if fail_root:
+                        with pytest.raises(RootEvaluationError):
+                            run_experiment(config)
+                    else:
+                        run_experiment(config)
+                    assert states and not any(states)
+                    assert gc.isenabled() == enabled_before
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    @pytest.mark.parametrize("method", ["mcts", "rs", "bf", "gg"])
+    def test_a_run_leaves_no_cycles_per_evaluation(self, experiment_dir, method):
+        # The collector is off during a search; that is safe only while a
+        # run's cyclic garbage does not grow with its budget.
+        def cyclic_garbage(budget):
+            out = experiment_dir / f"run{budget}"
+            path = write_experiment(
+                experiment_dir,
+                method=method,
+                out=str(out),
+                budget={"max_unique": budget, "max_iterations": 100 * budget},
+            )
+            run_experiment(load_experiment_config(path))
+            return gc.collect()
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert cyclic_garbage(40) == cyclic_garbage(400)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_synthetic_runs_are_byte_reproducible(self, experiment_dir):
         texts = []
@@ -323,6 +405,11 @@ class TestCli:
         path = write_experiment(experiment_dir, seed="abc")
         assert main(["tune", "--config", str(path)]) == 2
         assert "error: 'seed' must be a number" in capsys.readouterr().err
+
+    def test_out_of_range_field_exits_with_two(self, experiment_dir, capsys):
+        path = write_experiment(experiment_dir, evaluator={"base_time": -1})
+        assert main(["tune", "--config", str(path)]) == 2
+        assert "error: 'evaluator.base_time' must be > 0" in capsys.readouterr().err
 
     def test_errors_exit_with_two(self, experiment_dir, capsys):
         assert main(["tune", "--config", str(experiment_dir / "nope.json")]) == 2

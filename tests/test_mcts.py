@@ -3,9 +3,13 @@
 import gc
 import math
 import random
-from collections import Counter
+import weakref
+from collections import Counter, defaultdict
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragmatune import mcts, space
 from pragmatune.errors import RootEvaluationError
@@ -35,7 +39,7 @@ from pragmatune.reward import RewardParams, TargetState
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
-from helpers import chain_nest, counting, eval_record
+from helpers import chain_nest, counting, eval_record, random_nest, random_params
 
 SMALL_SPACE = SpaceParams(
     tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
@@ -464,6 +468,20 @@ class TestLazyTree:
             reinforced.append(indices)
             reinforce(tree, indices, value)
 
+        restarts = []
+        census_phases = defaultdict(list)
+
+        def counting_restart(nodes, restart=mcts._SpaceNodes.restart):
+            restarts.append(nodes)
+            restart(nodes)
+
+        def recording_census(node, params, census=space._census):
+            if node.census is None:
+                census_phases[node.key].append(len(restarts))
+            return census(node, params)
+
+        monkeypatch.setattr(mcts._SpaceNodes, "restart", counting_restart)
+        monkeypatch.setattr(space, "_census", recording_census)
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "apply", counting_apply)
         monkeypatch.setattr(space, "child_index", counting_child_index)
@@ -477,15 +495,21 @@ class TestLazyTree:
         phases = max(r.phase for r in session.records) + 1
         assert phases >= 5
 
-        # One census per built space node: each phase builds one root
-        # node on the shared root nest, every other node is one apply.
+        # One census per built space node: the run builds one root node
+        # on the shared root nest, every other node is one apply.
         per_nest = Counter(id(n) for n in census_nests)
-        assert per_nest.pop(id(nest)) == phases
+        assert per_nest.pop(id(nest)) == 1
         assert set(per_nest.values()) <= {1}
-        assert len(census_nests) <= len(apply_calls) + phases
+        assert len(census_nests) <= len(apply_calls) + 1
         # A node's nest is built only when its children are counted: one
         # apply per counted non-root node, none for uncounted leaves.
-        assert len(apply_calls) == len(census_nests) - phases
+        assert len(apply_calls) == len(census_nests) - 1
+        # A phase reuses the nodes the previous phase built, so no
+        # configuration's census is built in two consecutive phases.
+        assert len(restarts) == phases
+        assert sum(map(len, census_phases.values())) == len(census_nests)
+        for key, built in census_phases.items():
+            assert all(later - earlier > 1 for earlier, later in zip(built, built[1:])), key
 
         # Each replayed record's path is computed once per run, one
         # child_index per step, and reused by every later phase.
@@ -493,6 +517,48 @@ class TestLazyTree:
         assert len(keys) == len(set(keys))
         assert len(child_index_calls) == sum(c.depth for c in index_paths)
         assert len(reinforced) > 2 * len(keys)
+
+    def test_a_space_node_no_phase_asks_for_is_dropped_after_the_next_restart(self):
+        nodes = mcts._SpaceNodes(chain_nest(2), SMALL_SPACE)
+        was_enabled = gc.isenabled()
+        gc.disable()  # reference counting alone must free the node
+        try:
+            dropped = weakref.ref(nodes.child(nodes.root, 0))
+            kept = nodes.child(nodes.root, 1)
+            nodes.restart()
+            # The next phase gets the last phase's nodes back, built.
+            assert nodes.child(nodes.root, 1) is kept
+            assert dropped() is not None
+            nodes.restart()
+            # That phase never asked for child 0, so it is gone now.
+            assert dropped() is None
+            assert nodes.child(nodes.root, 1) is kept
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @settings(max_examples=40)
+    @given(st.randoms(use_true_random=True))
+    def test_handed_on_nodes_leave_the_log_unchanged(self, rng):
+        nest = random_nest(rng)
+        params = MctsParams(
+            space=random_params(rng, d_max=3), per_run_budget=6, n_walks=3
+        )
+        seeds = rng.randrange(2**32), rng.randrange(2**32), rng.randrange(2**32)
+
+        def run():
+            session = make_session(
+                SyntheticLandscape(seed=seeds[0]), max_unique=30, max_iterations=600
+            )
+            search(session, params, nest, random.Random(seeds[1]), random.Random(seeds[2]))
+            return [r.to_dict() for r in session.records]
+
+        def always_miss(nodes, parent, index):
+            return space.child(parent, index, nodes.params)
+
+        handed_on = run()
+        with mock.patch.object(mcts._SpaceNodes, "child", always_miss):
+            assert run() == handed_on
 
 
 class TestSearch:
