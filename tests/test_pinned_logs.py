@@ -122,3 +122,21 @@ def test_restart_heavy_mcts_outputs_are_pinned(tmp_path, seed):
     assert max(r.phase for r in summary.records) == 10
     digests = (sha256(tmp_path / "log.jsonl"), sha256(tmp_path / "summary.json"))
     assert digests == PINNED_RESTARTS[seed]
+
+
+BENCH_RESTART = (
+    Path(__file__).resolve().parent.parent / "bench" / "workloads" / "mcts_restart.json"
+)
+
+# sha256 of log.jsonl for the bench's restart workload at its full budget,
+# seed 1: 3000 evaluations over 53 phases, with hundreds of failures and
+# tied speedups in the history that every restart splits.
+PINNED_BENCH_RESTART_LOG = "55575d03e65b2afea999a7aef2f50a4fa37d67aeb0a7301b86d40f6692d33747"
+
+
+def test_bench_restart_workload_log_is_pinned(tmp_path):
+    config = load_experiment_config(BENCH_RESTART)
+    budget = Budget(max_unique=3000, max_iterations=300000)
+    summary = run_experiment(replace(config, seed=1, budget=budget, out_dir=str(tmp_path)))
+    assert (summary.unique_evaluations, summary.phases) == (3000, 53)
+    assert sha256(tmp_path / "log.jsonl") == PINNED_BENCH_RESTART_LOG
