@@ -76,6 +76,7 @@ from .reports import (
     write_log,
 )
 from .reward import (
+    RankedHistory,
     RewardParams,
     TargetState,
     penalty_filter,

@@ -8,9 +8,12 @@ wraps either and memoizes by configuration key, failures included.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import re
 import shlex
+import signal
 import statistics
 import subprocess
 import tempfile
@@ -72,12 +75,25 @@ class ExternalJobSpec:
 
 
 def _run(cmd: str, timeout_s: float) -> subprocess.CompletedProcess:
-    return subprocess.run(
+    """Run ``cmd`` in its own process group; a timeout kills the whole group.
+
+    Killing only the direct child would leave its children (a compiler's
+    backend, a shell's background job) running.
+    """
+    with subprocess.Popen(
         shlex.split(cmd),
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=timeout_s,
-    )
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout_s)
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def evaluate_external(config: Configuration, job: ExternalJobSpec) -> Outcome:

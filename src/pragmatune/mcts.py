@@ -7,6 +7,11 @@ depth from random walks, then iterate UCT selection at that depth until
 the phase converges or exhausts its per-phase evaluation budget. The
 history survives restarts; the tree does not, but the space nodes the
 last phase built (and their censuses) are handed to the next tree.
+
+A restart pays for the tails it replays, not for the whole history: the
+session keeps its records ranked as they arrive (``RankedHistory``), so
+the split reads two ranks. Within a phase, ``select`` scores children
+inline and ``expand`` counts to its draw without building a list.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ import random
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import space
 from .loops import Configuration, LoopNest
 from .reward import (
+    RankedHistory,
     RewardParams,
     TargetState,
     penalty_filter,
@@ -151,7 +158,10 @@ def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:
 
 
 def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
-    """Mean reward plus the exploration term; unvisited children win outright."""
+    """Mean reward plus the exploration term; unvisited children win outright.
+
+    The reference definition: ``select`` computes the same score inline.
+    """
     if child.visits == 0:
         return math.inf
     return child.mean_reward + 2 * c * math.sqrt(
@@ -163,18 +173,21 @@ def select(root: SearchNode, target_depth: int, c: float) -> list[SearchNode]:
     """Descend by best UCT score (ties to the lowest child index).
 
     Stops at the target depth, at the first node with an unexpanded
-    child, or at a dead end.
+    child, or at a dead end. The score is ``uct_score``'s, computed
+    inline with the same float operations.
     """
     path = [root]
     node = root
+    c2 = 2 * c
     while node.space.depth < target_depth:
         if node.n_children == 0 or len(node.children) < node.n_children:
             break
-        parent_visits = max(node.visits, 1)
+        two_log = 2 * math.log(max(node.visits, 1))
         best_idx = -1
         best = -math.inf
         for idx, child in node.children.items():
-            score = uct_score(child, parent_visits, c)
+            v = child.visits
+            score = child.total_reward / v + c2 * math.sqrt(two_log / v) if v else math.inf
             if score > best or (score == best and idx < best_idx):
                 best, best_idx = score, idx
         node = node.children[best_idx]
@@ -192,11 +205,17 @@ def _get_or_create(node: SearchNode, index: int) -> SearchNode:
 
 
 def expand(leaf: SearchNode, rng: random.Random) -> SearchNode:
-    """Materialize one unexpanded child, chosen uniformly at random."""
-    unexpanded = [i for i in range(leaf.n_children) if i not in leaf.children]
-    if not unexpanded:
+    """Materialize one unexpanded child, chosen uniformly at random.
+
+    Draws r in [0, unexpanded count) and takes the r-th unexpanded index.
+    """
+    children = leaf.children
+    n_children = leaf.n_children
+    if len(children) >= n_children:
         raise ValueError("node has no unexpanded children")
-    return _get_or_create(leaf, unexpanded[rng.randrange(len(unexpanded))])
+    r = rng.randrange(n_children - len(children))
+    unexpanded = (i for i in range(n_children) if i not in children)
+    return _get_or_create(leaf, next(islice(unexpanded, r, None)))
 
 
 def backpropagate(path: list[SearchNode], value: float) -> None:
@@ -327,7 +346,7 @@ def _reinforce(tree: SearchNode, indices: tuple[int, ...], value: float) -> None
 
 def apply_transfer(
     tree: SearchNode,
-    history: list[EvalRecord],
+    history: RankedHistory,
     params: MctsParams,
     paths: dict[str, tuple[int, ...]] | None = None,
 ) -> None:
@@ -339,7 +358,7 @@ def apply_transfer(
     path computed once and stored, so passing the same dict to every
     phase computes each path once per run.
     """
-    if not any(r.h is not None for r in history):
+    if not history.ranked:
         return
     if paths is None:
         paths = {}
@@ -377,7 +396,7 @@ def search(
         tree = SearchNode(nodes.root, None, nodes)
         if tree.n_children == 0:
             break
-        apply_transfer(tree, session.records, params, paths)
+        apply_transfer(tree, session.history, params, paths)
         evals_before = session.unique_evaluations
         d_star = learn_depth(tree, session, params, target, rng_walks, phase)
         phase_evals = session.unique_evaluations - evals_before

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyHistoryError
 from .evaluators import Outcome
@@ -82,25 +83,51 @@ def tail_rank(n: int, fraction: float) -> int:
     return max(1, math.ceil(fraction * n))
 
 
+class RankedHistory:
+    """The evaluation records, kept ranked by speedup as they arrive.
+
+    Successes sit in one list ordered by ``(h, arrival)``; failures stay
+    in arrival order. A session's arrival order is its records'
+    ``iteration``. Both lists hold references only, so ``quantile_split``
+    reads ranks and tails instead of sorting the whole history.
+    """
+
+    __slots__ = ("ranked", "failed")
+
+    def __init__(self, records: Iterable[EvalRecord] = ()):
+        self.ranked: list[tuple[float, int, EvalRecord]] = []
+        self.failed: list[tuple[int, EvalRecord]] = []
+        for record in records:
+            self.add(record)
+
+    def add(self, record: EvalRecord) -> None:
+        arrival = len(self.ranked) + len(self.failed)
+        if record.h is None:
+            self.failed.append((arrival, record))
+        else:
+            insort(self.ranked, (record.h, arrival, record))
+
+
 def quantile_split(
-    history: list[EvalRecord], alpha: float
+    history: RankedHistory, alpha: float
 ) -> tuple[list[EvalRecord], list[EvalRecord]]:
     """Split history into lower and upper alpha tails by speedup.
 
     Ranks are nearest-rank over the successful records' h values, with
     symmetric tails of ceil(alpha * n) records each (more under ties).
-    Failed records always land in the lower set. Raises
-    EmptyHistoryError without at least one success.
+    Failed records always land in the lower set. Both sets keep arrival
+    order. Raises EmptyHistoryError without at least one success.
     """
-    ordered = sorted((r.h for r in history if r.h is not None))
-    if not ordered:
+    ranked = history.ranked
+    if not ranked:
         raise EmptyHistoryError("no successful evaluations in history")
-    k = tail_rank(len(ordered), alpha)
-    q_low = ordered[k - 1]
-    q_up = ordered[len(ordered) - k]
-    lower = [r for r in history if r.h is None or r.h <= q_low]
-    upper = [r for r in history if r.h is not None and r.h >= q_up]
-    return lower, upper
+    k = tail_rank(len(ranked), alpha)
+    # Arrivals are distinct, so a probe never compares two records.
+    low_end = bisect_right(ranked, (ranked[k - 1][0], math.inf))
+    up_start = bisect_left(ranked, (ranked[len(ranked) - k][0], -1))
+    lower = sorted(history.failed + [(a, r) for _, a, r in ranked[:low_end]])
+    upper = sorted((a, r) for _, a, r in ranked[up_start:])
+    return [r for _, r in lower], [r for _, r in upper]
 
 
 def penalty_filter(

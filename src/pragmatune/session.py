@@ -18,7 +18,7 @@ from .errors import RootEvaluationError
 from .evaluators import CachedEvaluator, CompileFailure, Outcome, RunFailure, Time
 from .loops import Configuration, pragma_identity
 from .rendering import pragma_lines
-from .reward import TargetState, speedup
+from .reward import RankedHistory, TargetState, speedup
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,7 @@ class SearchSession:
         # Key -> record in measurement order, the root first; cache hits
         # look their record up here instead of building a new one.
         self._by_key: dict[str, EvalRecord] = {}
+        self.history = RankedHistory()
         self.best: EvalRecord | None = None
         self.root_time: float | None = None
         self.iterations = 0
@@ -263,6 +264,7 @@ class SearchSession:
             config=config,
         )
         self._by_key[record.key] = record
+        self.history.add(record)
         if improved:
             self.best = record
         if self._sink is not None:

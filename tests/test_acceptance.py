@@ -44,7 +44,7 @@ from pragmatune.mcts import (
     uct_score,
 )
 from pragmatune.rendering import render_pragmas
-from pragmatune.reward import RewardParams, quantile_split, reward
+from pragmatune.reward import RankedHistory, RewardParams, quantile_split, reward
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import (
     SpaceParams,
@@ -390,14 +390,14 @@ def test_criterion_09_history_transfer_without_evaluation():
         history = [root_rec, upper_rec, slow_rec] + fillers
         assert len(history) == 19
 
-        lower, upper = quantile_split(history, params.reward.alpha)
+        lower, upper = quantile_split(RankedHistory(history), params.reward.alpha)
         assert [r.h for r in lower] == [0.5]  # single minimum
         assert [r.h for r in upper] == [20.0]  # single maximum
 
         # With the root as the unique minimum it reaches the lower tail
         # but is exempt from penalties.
         no_slow = [root_rec, upper_rec] + fillers
-        lower2, upper2 = quantile_split(no_slow, params.reward.alpha)
+        lower2, upper2 = quantile_split(RankedHistory(no_slow), params.reward.alpha)
         assert lower2 == [root_rec]
         from pragmatune.reward import penalty_filter
 
@@ -412,7 +412,7 @@ def test_criterion_09_history_transfer_without_evaluation():
 
         cache = CachedEvaluator(counting_evaluator)
         tree = make_root(nest, params)
-        apply_transfer(tree, history, params)
+        apply_transfer(tree, RankedHistory(history), params)
         assert calls == 0 and cache.unique_count == 0
 
         by_key = {c.space.key: c for c in tree.children.values()}

@@ -1,9 +1,13 @@
 """Synthetic landscape determinism, external pipeline, evaluation caching."""
 
+import subprocess
 import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
+from pragmatune import evaluators
 from pragmatune.evaluators import (
     CachedEvaluator,
     CompileFailure,
@@ -329,3 +333,28 @@ class TestEvaluateExternal:
             repetitions=1,
         )
         assert evaluate_external(Configuration(), job) == Time(0.125)
+
+
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie (exited, not yet reaped) counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process state from /proc")
+class TestTimeouts:
+    def test_a_timeout_kills_the_whole_process_group(self, tmp_path):
+        # Two processes: the shell, and a sleeping grandchild that holds its pipes.
+        pidfile = tmp_path / "pid"
+        start = time.monotonic()
+        with pytest.raises(subprocess.TimeoutExpired):
+            evaluators._run(f"sh -c 'sleep 4 & echo $! > {pidfile}; wait'", 0.5)
+        assert time.monotonic() - start < 2.0
+        grandchild = int(pidfile.read_text())
+        deadline = time.monotonic() + 1.0
+        while process_alive(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not process_alive(grandchild)

@@ -35,7 +35,7 @@ from pragmatune.mcts import (
     select,
     uct_score,
 )
-from pragmatune.reward import RewardParams, TargetState
+from pragmatune.reward import RankedHistory, RewardParams, TargetState
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
@@ -185,6 +185,39 @@ class TestExpand:
         assert (child.visits, child.total_reward, child.terminal_count) == (0, 0.0, 0)
 
 
+class TestReferenceEquality:
+    """``select`` and ``expand`` agree with their definitions on random inputs."""
+
+    @settings(max_examples=100)
+    @given(rng=st.randoms(use_true_random=True), c=st.sampled_from([0.0, 0.1, 0.5, 2.0]))
+    def test_select_takes_the_uct_argmax_ties_to_the_lower_index(self, rng, c):
+        tree = fully_expanded_root(small_params())
+        for child in tree.children.values():
+            child.visits = rng.randint(1, 6)
+            # Whole rewards make equal means, and so tied scores, common.
+            child.total_reward = float(rng.randint(-child.visits, child.visits))
+        if rng.random() < 0.3:
+            tree.children[rng.randrange(tree.n_children)].visits = 0  # wins outright
+        tree.visits = rng.choice([0, 1, rng.randint(2, 60)])
+        scores = [uct_score(tree.children[i], max(tree.visits, 1), c) for i in range(tree.n_children)]
+        expected = max(range(tree.n_children), key=lambda i: (scores[i], -i))
+        assert select(tree, 1, c)[1] is tree.children[expected]
+
+    @settings(max_examples=100)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_expand_draws_what_the_list_based_rule_draws(self, data, seed):
+        tree = make_root(chain_nest(1), small_params())
+        n = tree.n_children
+        expanded = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        for index in expanded:
+            mcts._get_or_create(tree, index)
+        ours, reference = random.Random(seed), random.Random(seed)
+        unexpanded = [i for i in range(n) if i not in expanded]
+        expected = unexpanded[reference.randrange(len(unexpanded))]
+        assert expand(tree, ours) is tree.children[expected]
+        assert ours.getstate() == reference.getstate()
+
+
 class TestBackpropagate:
     def test_adds_along_the_path(self):
         nodes = [stub_node(0, 0.0) for _ in range(3)]
@@ -329,7 +362,7 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        apply_transfer(tree, history, params)
+        apply_transfer(tree, RankedHistory(history), params)
         assert_consistent(tree)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["reverse(i0)"].total_reward == 1.0
@@ -347,7 +380,7 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        apply_transfer(tree, history, params)
+        apply_transfer(tree, RankedHistory(history), params)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["unroll(i0;2)"].total_reward >= 1.0  # prefix of the upper path
         assert all(c.total_reward >= 0.0 for c in tree.children.values())
@@ -355,7 +388,7 @@ class TestApplyTransfer:
     def test_root_only_history_touches_only_the_tree_root(self):
         params = small_params()
         tree = make_root(chain_nest(1), params)
-        apply_transfer(tree, history_from([]), params)
+        apply_transfer(tree, RankedHistory(history_from([])), params)
         assert tree.visits == 1 and tree.children == {}
 
     def test_no_successes_means_no_transfer(self):
@@ -364,7 +397,7 @@ class TestApplyTransfer:
         failures = [
             eval_record(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
         ]
-        apply_transfer(tree, failures, params)
+        apply_transfer(tree, RankedHistory(failures), params)
         assert tree.visits == 0 and tree.children == {}
 
     def test_transfer_never_calls_the_evaluator(self):
@@ -376,7 +409,7 @@ class TestApplyTransfer:
             session.measure(Configuration(tuple(steps)), phase=0)
         calls_before = len(calls)
         tree = make_root(chain_nest(1), params)
-        apply_transfer(tree, session.records, params)
+        apply_transfer(tree, session.history, params)
         assert len(calls) == calls_before
         assert tree.visits > 0  # the replayed paths really landed
 
@@ -408,7 +441,7 @@ class TestLazyTree:
         try:
             gc.collect()
             tree = make_root(chain_nest(2), params)
-            apply_transfer(tree, history, params)
+            apply_transfer(tree, RankedHistory(history), params)
             rng = random.Random(0)
             for _ in range(3):
                 expand(tree, rng).space
@@ -423,11 +456,11 @@ class TestLazyTree:
         params = small_params(reward=RewardParams(alpha=0.4))
         history = history_from(DEEP_HISTORY)
         paths = {}
-        apply_transfer(make_root(chain_nest(2), params), history, params, paths)
+        apply_transfer(make_root(chain_nest(2), params), RankedHistory(history), params, paths)
         assert {r.key for r in history[1:]} <= set(paths)
         # The second tree replays every record from the stored paths alone.
         tree = make_root(chain_nest(2), params)
-        apply_transfer(tree, history, params, paths)
+        apply_transfer(tree, RankedHistory(history), params, paths)
         for record in history[1:]:
             node = tree
             for depth, step in enumerate(record.config.steps, start=1):

@@ -1,13 +1,14 @@
 """Reward shaping: targets, rewards, history quantiles, penalty filtering."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragmatune.errors import EmptyHistoryError
 from pragmatune.evaluators import CompileFailure, RunFailure, Time
 from pragmatune.loops import Configuration, Reverse, Tile, Unroll
 from pragmatune.reward import (
+    RankedHistory,
     RewardParams,
     TargetState,
     penalty_filter,
@@ -153,30 +154,30 @@ class TestTailRank:
 class TestQuantileSplit:
     def test_twenty_distinct_values_give_single_min_and_max(self):
         history = [rec(float(h), [Unroll("i", None)]) for h in range(1, 21)]
-        lower, upper = quantile_split(history, 0.05)
+        lower, upper = quantile_split(RankedHistory(history), 0.05)
         assert [r.h for r in lower] == [1.0]
         assert [r.h for r in upper] == [20.0]
 
     def test_ties_widen_the_tail(self):
         history = [rec(h, [Reverse("i")]) for h in (1.0, 1.0, 2.0, 3.0)]
-        lower, upper = quantile_split(history, 0.25)
+        lower, upper = quantile_split(RankedHistory(history), 0.25)
         assert [r.h for r in lower] == [1.0, 1.0]
         assert [r.h for r in upper] == [3.0]
 
     def test_failures_always_in_lower(self):
         history = [rec(None), rec(4.0), rec(1.0), rec(None), rec(2.0), rec(3.0)]
-        lower, upper = quantile_split(history, 0.25)
+        lower, upper = quantile_split(RankedHistory(history), 0.25)
         assert [r.h for r in lower] == [None, 1.0, None]
         assert [r.h for r in upper] == [4.0]
 
     def test_single_success_lands_in_both_tails(self):
         history = [rec(2.0)]
-        lower, upper = quantile_split(history, 0.05)
+        lower, upper = quantile_split(RankedHistory(history), 0.05)
         assert lower == history and upper == history
 
     def test_no_success_raises(self):
         with pytest.raises(EmptyHistoryError):
-            quantile_split([rec(None), rec(None)], 0.05)
+            quantile_split(RankedHistory([rec(None), rec(None)]), 0.05)
 
     @given(
         st.lists(
@@ -186,7 +187,7 @@ class TestQuantileSplit:
     )
     def test_tail_properties(self, hs, alpha):
         history = [rec(h) for h in hs]
-        lower, upper = quantile_split(history, alpha)
+        lower, upper = quantile_split(RankedHistory(history), alpha)
         successes = [r for r in history if r.h is not None]
         best = max(r.h for r in successes)
         worst = min(r.h for r in successes)
@@ -198,6 +199,33 @@ class TestQuantileSplit:
             r.h is None for r in lower
         )
         assert all(r.h is not None for r in upper)
+
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.01, 100.0)),
+            max_size=80,
+        ),
+        st.floats(0.01, 0.49),
+    )
+    def test_equals_the_sort_based_definition(self, hs, alpha):
+        # The root (h = 1.0, no steps) comes first, as in a session.
+        history = [rec(1.0)] + [rec(h, [Reverse("i")], k) for k, h in enumerate(hs, start=1)]
+        lower, upper = quantile_split(RankedHistory(history), alpha)
+        expected_lower, expected_upper = sorted_split(history, alpha)
+        assert [id(r) for r in lower] == [id(r) for r in expected_lower]
+        assert [id(r) for r in upper] == [id(r) for r in expected_upper]
+
+
+def sorted_split(history, alpha):
+    """The split's definition: sort every success, then scan the history twice."""
+    ordered = sorted(r.h for r in history if r.h is not None)
+    k = tail_rank(len(ordered), alpha)
+    q_low, q_up = ordered[k - 1], ordered[len(ordered) - k]
+    lower = [r for r in history if r.h is None or r.h <= q_low]
+    upper = [r for r in history if r.h is not None and r.h >= q_up]
+    return lower, upper
 
 
 class TestPenaltyFilter:
