@@ -13,6 +13,7 @@ from .errors import (
     EmptyHistoryError,
     ExperimentConfigError,
     InvalidTargetError,
+    LogParseError,
     MissingAnchorError,
     NestParseError,
     PragmatuneError,

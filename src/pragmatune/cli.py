@@ -24,6 +24,14 @@ from .reports import emit_best_depth, emit_cutoff_counts, emit_trajectory, read_
 from .space import SpaceParams, level_counts, root_node
 
 
+def _percent(text: str) -> float:
+    """A ``--top-percent`` value: a number in (0, 100]."""
+    value = float(text)
+    if not 0.0 < value <= 100.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 100]")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pragmatune")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind == "cutoff":
             sub.add_argument(
                 "--top-percent",
-                type=float,
+                type=_percent,
                 default=5.0,
                 help="pooled tail size in percent (default 5)",
             )

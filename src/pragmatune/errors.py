@@ -29,5 +29,9 @@ class ExperimentConfigError(PragmatuneError, ValueError):
     """An experiment configuration file failed validation."""
 
 
+class LogParseError(PragmatuneError, ValueError):
+    """A run log line is not a well-formed evaluation record."""
+
+
 class RootEvaluationError(PragmatuneError, RuntimeError):
     """The baseline (empty) configuration could not be measured."""

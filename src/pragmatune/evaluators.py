@@ -101,15 +101,17 @@ def evaluate_external(config: Configuration, job: ExternalJobSpec) -> Outcome:
 
     Each run must print a time; the last float token on its stdout is
     used. Nonzero exits map to CompileFailure/RunFailure, timeouts and
-    unparsable output to RunFailure.
+    unparsable output to RunFailure. The ``{src}`` and ``{out}`` paths
+    are shell-quoted, so a temporary directory whose name holds spaces
+    still yields one argument each.
     """
     source = render_pragmas(config, job.source_template)
     with tempfile.TemporaryDirectory(prefix="pragmatune-") as tmp:
         src = Path(tmp) / "variant.c"
-        out = Path(tmp) / "variant.bin"
         src.write_text(source)
+        paths = {"src": shlex.quote(str(src)), "out": shlex.quote(str(Path(tmp) / "variant.bin"))}
         try:
-            built = _run(job.compile_cmd.format(src=src, out=out), job.timeout_s)
+            built = _run(job.compile_cmd.format(**paths), job.timeout_s)
         except subprocess.TimeoutExpired:
             return CompileFailure("compile timeout")
         log = built.stdout + built.stderr
@@ -120,7 +122,7 @@ def evaluate_external(config: Configuration, job: ExternalJobSpec) -> Outcome:
         times = []
         for _ in range(job.repetitions):
             try:
-                ran = _run(job.run_cmd.format(out=out, src=src), job.timeout_s)
+                ran = _run(job.run_cmd.format(**paths), job.timeout_s)
             except subprocess.TimeoutExpired:
                 return RunFailure("run timeout")
             if ran.returncode != 0:

@@ -10,12 +10,16 @@ last phase built (and their censuses) are handed to the next tree.
 
 A restart pays for the tails it replays, not for the whole history: the
 session keeps its records ranked as they arrive (``RankedHistory``), so
-the split reads two ranks. Within a phase, ``select`` scores children
-inline and ``expand`` counts to its draw without building a list.
+the split reads two ranks, and the penalty filter compares
+pragma-identity bitmasks, so a restart reads only the records it
+replays. Within a phase, ``select`` scores children inline and
+``expand`` counts to its draw without building a list. Each phase sends
+one debug record to the ``pragmatune`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import weakref
@@ -35,6 +39,8 @@ from .reward import (
 )
 from .session import EvalRecord, SearchSession
 from .space import SpaceParams
+
+logger = logging.getLogger("pragmatune")
 
 # A phase whose iterations all hit the cache trips neither convergence
 # counter, so cap total iterations per phase at a multiple of its
@@ -335,12 +341,14 @@ def _index_path(tree: SearchNode, config: Configuration, params: MctsParams) -> 
 
 
 def _reinforce(tree: SearchNode, indices: tuple[int, ...], value: float) -> None:
-    path = [tree]
+    """Backpropagate ``value`` along a stored path, creating its nodes unbuilt."""
     node = tree
+    node.visits += 1
+    node.total_reward += value
     for index in indices:
         node = _get_or_create(node, index)
-        path.append(node)
-    backpropagate(path, value)
+        node.visits += 1
+        node.total_reward += value
     node.terminal_count += 1
 
 
@@ -349,29 +357,46 @@ def apply_transfer(
     history: RankedHistory,
     params: MctsParams,
     paths: dict[str, tuple[int, ...]] | None = None,
-) -> None:
+) -> tuple[int, int]:
     """Replay history quantiles onto a fresh tree without evaluating.
 
     Upper-tail records get +1 along their re-created paths; lower-tail
     records surviving the penalty filter get r_penalty. ``paths`` maps
     record keys to child-index paths; a record missing from it gets its
     path computed once and stored, so passing the same dict to every
-    phase computes each path once per run.
+    phase computes each path once per run. Only the replayed records
+    are read. Returns the upper and penalized counts.
     """
     if not history.ranked:
-        return
+        return 0, 0
     if paths is None:
         paths = {}
     lower, upper = quantile_split(history, params.reward.alpha)
-    for records, value in (
-        (upper, 1.0),
-        (penalty_filter(lower, upper), params.reward.r_penalty),
-    ):
-        for record in records:
+    penalized = penalty_filter(lower, upper)
+    for entries, value in ((upper, 1.0), (penalized, params.reward.r_penalty)):
+        for _, _, record in entries:
             indices = paths.get(record.key)
             if indices is None:
                 indices = paths[record.key] = _index_path(tree, record.config, params)
             _reinforce(tree, indices, value)
+    return len(upper), len(penalized)
+
+
+def _phase_end(
+    session: SearchSession,
+    params: MctsParams,
+    log: IterationLog,
+    phase_evals: int,
+    phase_iterations: int,
+) -> str:
+    """Why a phase's loop stopped, tested in the order of its condition."""
+    if phase_evals >= params.per_run_budget:
+        return "per_run_budget"
+    if phase_iterations >= params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR:
+        return "iteration_cap"
+    if session.out_of_budget():
+        return "global_budget"
+    return "no_improve" if log.no_improve_run >= log.no_improve_limit else "same_config"
 
 
 def search(
@@ -396,13 +421,14 @@ def search(
         tree = SearchNode(nodes.root, None, nodes)
         if tree.n_children == 0:
             break
-        apply_transfer(tree, session.history, params, paths)
-        evals_before = session.unique_evaluations
+        upper, penalized = apply_transfer(tree, session.history, params, paths)
+        evals_before, iterations_before = session.unique_evaluations, session.iterations
         d_star = learn_depth(tree, session, params, target, rng_walks, phase)
         phase_evals = session.unique_evaluations - evals_before
         log = IterationLog(params.no_improve_limit, params.same_config_limit)
         iteration_cap = params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
         phase_iterations = 0
+        ended = None
         while (
             phase_evals < params.per_run_budget
             and phase_iterations < iteration_cap
@@ -421,6 +447,7 @@ def search(
                 path.append(node)
             measured = _playout(path, session, params, target, phase)
             if measured is None:
+                ended = "global_budget"
                 break
             record, fresh = measured
             if fresh:
@@ -428,5 +455,21 @@ def search(
             log.note(node.space.key, fresh and session.best is record, fresh)
             if params.check_invariants:
                 assert_consistent(tree)
+        if logger.isEnabledFor(logging.DEBUG):
+            ended = ended or _phase_end(session, params, log, phase_evals, phase_iterations)
+            logger.debug(
+                "phase %(phase)d: d*=%(d_star)d, transfer upper=%(upper)d "
+                "penalized=%(penalized)d, fresh=%(fresh)d, iterations=%(iterations)d, "
+                "ended by %(ended)s",
+                {
+                    "phase": phase,
+                    "d_star": d_star,
+                    "upper": upper,
+                    "penalized": penalized,
+                    "fresh": phase_evals,
+                    "iterations": session.iterations - iterations_before,
+                    "ended": ended,
+                },
+            )
         phase += 1
     return session.best, session.records

@@ -12,15 +12,26 @@ import json
 import math
 from pathlib import Path
 
+from .errors import LogParseError
 from .session import EvalRecord, record_from_dict
 
 
 def read_log(path: str | Path) -> list[EvalRecord]:
-    """Parse a line-delimited JSON run log."""
+    """Parse a line-delimited JSON run log.
+
+    Raises LogParseError, naming the file and the line, on the first
+    line that is not a well-formed record. Blank lines are skipped.
+    """
     records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            records.append(record_from_dict(json.loads(line)))
+    lines = Path(path).read_text().splitlines()
+    try:
+        for line in lines:
+            if line.strip():
+                records.append(record_from_dict(json.loads(line)))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # The failing line is the first non-blank one not yet parsed.
+        number = [n for n, line in enumerate(lines, start=1) if line.strip()][len(records)]
+        raise LogParseError(f"{path}, line {number}: {type(exc).__name__}: {exc}") from exc
     return records
 
 

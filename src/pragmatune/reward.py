@@ -11,9 +11,13 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyHistoryError
 from .evaluators import Outcome
+from .loops import pragma_identity
 
 if TYPE_CHECKING:
     from .session import EvalRecord
+
+# (arrival, pragma-identity mask, record): see RankedHistory.
+HistoryEntry = tuple[int, int, "EvalRecord"]
 
 
 @dataclass(frozen=True)
@@ -86,62 +90,88 @@ def tail_rank(n: int, fraction: float) -> int:
 class RankedHistory:
     """The evaluation records, kept ranked by speedup as they arrive.
 
-    Successes sit in one list ordered by ``(h, arrival)``; failures stay
-    in arrival order. A session's arrival order is its records'
-    ``iteration``. Both lists hold references only, so ``quantile_split``
-    reads ranks and tails instead of sorting the whole history.
+    Successes sit in one list of ``(h, arrival)`` pairs in rank order.
+    Each record also has a history entry ``(arrival, mask, record)``,
+    where ``mask`` holds one bit per distinct pragma identity of the
+    record's steps, bits numbered as the history first meets each
+    identity (a root record's mask is 0). A session's arrival order is
+    its records' ``iteration``. Masks are computed by ``entries``, once
+    per record, for the records that arrived since its last call, so a
+    history that is never split never computes one.
     """
 
-    __slots__ = ("ranked", "failed")
+    __slots__ = ("ranked", "_failed", "_records", "_entries", "_bits")
 
     def __init__(self, records: Iterable[EvalRecord] = ()):
-        self.ranked: list[tuple[float, int, EvalRecord]] = []
-        self.failed: list[tuple[int, EvalRecord]] = []
+        self.ranked: list[tuple[float, int]] = []
+        self._failed: list[HistoryEntry] = []  # in arrival order
+        self._records: list[EvalRecord] = []
+        self._entries: list[HistoryEntry] = []
+        self._bits: dict[tuple, int] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: EvalRecord) -> None:
-        arrival = len(self.ranked) + len(self.failed)
-        if record.h is None:
-            self.failed.append((arrival, record))
-        else:
-            insort(self.ranked, (record.h, arrival, record))
+        if record.h is not None:
+            insort(self.ranked, (record.h, len(self._records)))
+        self._records.append(record)
+
+    def entries(self) -> list[HistoryEntry]:
+        """Every record's entry, in arrival order.
+
+        Raises AttributeError on reaching a record without a ``config``
+        (one read back from a log).
+        """
+        entries, bits = self._entries, self._bits
+        for record in self._records[len(entries):]:
+            mask = 0
+            for step in record.config.steps:
+                identity = pragma_identity(step)
+                bit = bits.get(identity)
+                if bit is None:
+                    bit = bits[identity] = 1 << len(bits)
+                mask |= bit
+            entry = (len(entries), mask, record)
+            entries.append(entry)
+            if record.h is None:
+                self._failed.append(entry)
+        return entries
 
 
 def quantile_split(
     history: RankedHistory, alpha: float
-) -> tuple[list[EvalRecord], list[EvalRecord]]:
+) -> tuple[list[HistoryEntry], list[HistoryEntry]]:
     """Split history into lower and upper alpha tails by speedup.
 
     Ranks are nearest-rank over the successful records' h values, with
     symmetric tails of ceil(alpha * n) records each (more under ties).
-    Failed records always land in the lower set. Both sets keep arrival
-    order. Raises EmptyHistoryError without at least one success.
+    Failed records always land in the lower set. Both sets are history
+    entries in arrival order. Raises EmptyHistoryError without at least
+    one success.
     """
     ranked = history.ranked
     if not ranked:
         raise EmptyHistoryError("no successful evaluations in history")
+    entries = history.entries()
     k = tail_rank(len(ranked), alpha)
-    # Arrivals are distinct, so a probe never compares two records.
+    # Arrivals are distinct, so neither a probe nor a sort compares further.
     low_end = bisect_right(ranked, (ranked[k - 1][0], math.inf))
     up_start = bisect_left(ranked, (ranked[len(ranked) - k][0], -1))
-    lower = sorted(history.failed + [(a, r) for _, a, r in ranked[:low_end]])
-    upper = sorted((a, r) for _, a, r in ranked[up_start:])
-    return [r for _, r in lower], [r for _, r in upper]
+    lower = sorted(history._failed + [entries[a] for _, a in ranked[:low_end]])
+    upper = [entries[a] for a in sorted(a for _, a in ranked[up_start:])]
+    return lower, upper
 
 
 def penalty_filter(
-    lower: list[EvalRecord], upper: list[EvalRecord]
-) -> list[EvalRecord]:
-    """Lower records sharing no pragma identity with any upper record.
+    lower: list[HistoryEntry], upper: list[HistoryEntry]
+) -> list[HistoryEntry]:
+    """Lower entries sharing no pragma identity with any upper entry.
 
-    Identity comparison ignores loop ids. Root records (empty
-    configurations) are never penalized. An empty upper set keeps every
-    non-root lower record.
+    Identity comparison ignores loop ids. Root records (mask 0) are
+    never penalized. An empty upper set keeps every non-root lower
+    entry. Reads masks only, never a record.
     """
-    shared: frozenset = frozenset().union(*(r.identities for r in upper)) if upper else frozenset()
-    return [
-        r
-        for r in lower
-        if r.config.steps and not (r.identities & shared)
-    ]
+    shared = 0
+    for _, mask, _ in upper:
+        shared |= mask
+    return [entry for entry in lower if entry[1] and not entry[1] & shared]

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 from .errors import RootEvaluationError
 from .evaluators import CachedEvaluator, CompileFailure, Outcome, RunFailure, Time
-from .loops import Configuration, pragma_identity
+from .loops import Configuration
 from .rendering import pragma_lines
 from .reward import RankedHistory, TargetState, speedup
 
@@ -99,11 +98,6 @@ class EvalRecord:
     def __post_init__(self) -> None:
         if self.outcome.ok != (self.h is not None):
             raise ValueError("h must be present exactly for successful outcomes")
-
-    @cached_property
-    def identities(self) -> frozenset:
-        """Pragma identities of the steps, built once; raises when ``config`` is None."""
-        return frozenset(pragma_identity(s) for s in self.config.steps)
 
     def to_dict(self) -> dict:
         if isinstance(self.outcome, Time):

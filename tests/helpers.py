@@ -165,3 +165,8 @@ def eval_record(config: Configuration, outcome, h, iteration: int, phase: int) -
         wall_clock_s=0.0,
         config=config,
     )
+
+
+def entry_records(entries) -> list[EvalRecord]:
+    """The records of ``RankedHistory`` entries, in their order."""
+    return [record for _, _, record in entries]

@@ -44,7 +44,13 @@ from pragmatune.mcts import (
     uct_score,
 )
 from pragmatune.rendering import render_pragmas
-from pragmatune.reward import RankedHistory, RewardParams, quantile_split, reward
+from pragmatune.reward import (
+    RankedHistory,
+    RewardParams,
+    penalty_filter,
+    quantile_split,
+    reward,
+)
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import (
     SpaceParams,
@@ -55,7 +61,14 @@ from pragmatune.space import (
     root_node,
 )
 
-from helpers import chain_nest, eval_record, oracle_children, random_nest, random_params
+from helpers import (
+    chain_nest,
+    entry_records,
+    eval_record,
+    oracle_children,
+    random_nest,
+    random_params,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -391,16 +404,14 @@ def test_criterion_09_history_transfer_without_evaluation():
         assert len(history) == 19
 
         lower, upper = quantile_split(RankedHistory(history), params.reward.alpha)
-        assert [r.h for r in lower] == [0.5]  # single minimum
-        assert [r.h for r in upper] == [20.0]  # single maximum
+        assert [r.h for r in entry_records(lower)] == [0.5]  # single minimum
+        assert [r.h for r in entry_records(upper)] == [20.0]  # single maximum
 
         # With the root as the unique minimum it reaches the lower tail
         # but is exempt from penalties.
         no_slow = [root_rec, upper_rec] + fillers
         lower2, upper2 = quantile_split(RankedHistory(no_slow), params.reward.alpha)
-        assert lower2 == [root_rec]
-        from pragmatune.reward import penalty_filter
-
+        assert lower2 == [(0, 0, root_rec)]  # the root's identity mask is empty
         assert penalty_filter(lower2, upper2) == []
 
         calls = 0

@@ -1,6 +1,7 @@
 """Synthetic landscape determinism, external pipeline, evaluation caching."""
 
 import subprocess
+import tempfile
 import textwrap
 import time
 from pathlib import Path
@@ -243,6 +244,26 @@ class TestEvaluateExternal:
         )
         assert evaluate_external(Configuration(), job) == Time(0.3)
         assert counter.read_text() == "5"
+
+    def test_temporary_paths_with_spaces_stay_one_argument(self, tmp_path, monkeypatch, copy_compiler):
+        spaced = tmp_path / "tmp dir"
+        spaced.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+        runner = write_stub(
+            tmp_path / "run.py",
+            """
+            assert len(sys.argv) == 2 and " " in sys.argv[1], sys.argv
+            assert "loop" in open(sys.argv[1]).read()
+            print(0.25)
+            """,
+        )
+        job = ExternalJobSpec(
+            source_template=TEMPLATE,
+            compile_cmd=copy_compiler,
+            run_cmd=f"python3 {runner} {{out}}",
+            repetitions=1,
+        )
+        assert evaluate_external(Configuration(), job) == Time(0.25)
 
     def test_rendered_pragmas_reach_the_compiler(self, tmp_path):
         checker = write_stub(

@@ -411,6 +411,24 @@ class TestCli:
         assert main(["tune", "--config", str(path)]) == 2
         assert "error: 'evaluator.base_time' must be > 0" in capsys.readouterr().err
 
+    def test_bad_report_input_exits_with_two(self, experiment_dir, capsys):
+        out = experiment_dir / "run"
+        main(["tune", "--config", str(write_experiment(experiment_dir)), "--out", str(out)])
+        log = str(out / "log.jsonl")
+        for percent in ("0", "-5", "100.5", "nan"):
+            with pytest.raises(SystemExit) as raised:
+                main(["report", "cutoff", "--log", log, "--top-percent", percent])
+            assert raised.value.code == 2
+        assert main(["report", "cutoff", "--log", log, "--top-percent", "100"]) == 0
+        capsys.readouterr()
+        broken = experiment_dir / "broken.jsonl"
+        broken.write_text((out / "log.jsonl").read_text() + "not json\n")
+        for kind in ("trajectory", "cutoff", "best-depth"):
+            assert main(["report", kind, "--log", log, str(broken)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "broken.jsonl, line 42: " in err
+            assert "Traceback" not in err
+
     def test_errors_exit_with_two(self, experiment_dir, capsys):
         assert main(["tune", "--config", str(experiment_dir / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,9 @@
 """Tree search: UCT scoring, phases, depth learning, history transfer."""
 
 import gc
+import hashlib
+import importlib
+import logging
 import math
 import random
 import weakref
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from pragmatune import mcts, space
 from pragmatune.errors import RootEvaluationError
+from pragmatune.harness import ExperimentConfig, run_experiment
 from pragmatune.evaluators import (
     CachedEvaluator,
     CompileFailure,
@@ -40,6 +44,7 @@ from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
 from helpers import chain_nest, counting, eval_record, random_nest, random_params
+from test_pinned_logs import CHAIN3_NEST, PINNED_RESTARTS
 
 SMALL_SPACE = SpaceParams(
     tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
@@ -362,7 +367,7 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        apply_transfer(tree, RankedHistory(history), params)
+        assert apply_transfer(tree, RankedHistory(history), params) == (1, 1)
         assert_consistent(tree)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["reverse(i0)"].total_reward == 1.0
@@ -397,7 +402,7 @@ class TestApplyTransfer:
         failures = [
             eval_record(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
         ]
-        apply_transfer(tree, RankedHistory(failures), params)
+        assert apply_transfer(tree, RankedHistory(failures), params) == (0, 0)
         assert tree.visits == 0 and tree.children == {}
 
     def test_transfer_never_calls_the_evaluator(self):
@@ -647,3 +652,73 @@ class TestSearch:
         session = make_session(SyntheticLandscape(seed=13), max_unique=30)
         search(session, params, chain_nest(2), random.Random(9), random.Random(10))
         assert session.unique_evaluations == 30
+
+
+def restart_heavy_config(out_dir=None):
+    """The pinned restart-heavy run: chain3 nest, seed 1, 11 phases."""
+    return ExperimentConfig(
+        nest_text=CHAIN3_NEST,
+        method="mcts",
+        seed=1,
+        budget=Budget(max_unique=600, max_iterations=60000),
+        search=MctsParams(per_run_budget=60, n_walks=10),
+        out_dir=out_dir,
+    )
+
+
+PHASE_ENDS = {"per_run_budget", "iteration_cap", "global_budget", "no_improve", "same_config"}
+
+
+class TestRestartHeavyRun:
+    def test_each_record_is_masked_once_not_once_per_phase(self, monkeypatch):
+        reward_module = importlib.import_module("pragmatune.reward")
+        identity = reward_module.pragma_identity
+        calls = []
+        monkeypatch.setattr(
+            reward_module, "pragma_identity", lambda step: calls.append(step) or identity(step)
+        )
+        summary = run_experiment(restart_heavy_config())
+        last = max(r.phase for r in summary.records)
+        assert last == 10
+        # The last split covers every record measured before the last phase.
+        assert len(calls) == sum(r.depth for r in summary.records if r.phase < last)
+        per_phase = sum(r.depth for p in range(last + 1) for r in summary.records if r.phase < p)
+        assert len(calls) < per_phase / 3
+
+    def test_one_debug_record_per_phase_leaves_the_log_pinned(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="pragmatune")
+        summary = run_experiment(restart_heavy_config(str(tmp_path)))
+        phases = [
+            r.args for r in caplog.records if r.levelno == logging.DEBUG and r.funcName == "search"
+        ]
+        assert [p["phase"] for p in phases] == list(range(summary.phases)) == list(range(11))
+        assert sum(p["fresh"] for p in phases) == summary.unique_evaluations
+        assert all(p["iterations"] >= p["fresh"] and p["d_star"] >= 1 for p in phases)
+        assert phases[0]["upper"] == 1 and phases[0]["penalized"] == 0  # the root alone
+        assert all(p["upper"] >= 1 for p in phases)
+        assert {p["ended"] for p in phases} <= PHASE_ENDS
+        assert phases[-1]["ended"] == "global_budget"
+        log_digest = hashlib.sha256((tmp_path / "log.jsonl").read_bytes()).hexdigest()
+        assert log_digest == PINNED_RESTARTS[1][0]
+
+    def test_without_debug_logging_no_phase_end_is_worked_out(self, caplog):
+        caplog.set_level(logging.INFO, logger="pragmatune")
+        with mock.patch.object(mcts, "_phase_end", side_effect=AssertionError):
+            summary = run_experiment(restart_heavy_config())
+        assert summary.phases == 11
+
+
+class TestPhaseEnd:
+    def test_reasons_follow_the_loop_condition(self):
+        params = small_params(per_run_budget=5)
+        session = make_session(flat_landscape(), max_iterations=1)
+        log = IterationLog(no_improve_limit=3, same_config_limit=2)
+        assert mcts._phase_end(session, params, log, 5, 0) == "per_run_budget"
+        assert mcts._phase_end(session, params, log, 4, 100) == "iteration_cap"
+        log.note("a", improved=False)
+        log.note("a", improved=False)
+        assert mcts._phase_end(session, params, log, 4, 2) == "same_config"
+        log.note("b", improved=False)
+        assert mcts._phase_end(session, params, log, 4, 3) == "no_improve"
+        session.count_iteration()
+        assert mcts._phase_end(session, params, log, 4, 3) == "global_budget"

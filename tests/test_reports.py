@@ -2,6 +2,7 @@
 
 import pytest
 
+from pragmatune.errors import LogParseError, PragmatuneError
 from pragmatune.evaluators import CompileFailure, Time
 from pragmatune.reports import (
     emit_best_depth,
@@ -47,6 +48,21 @@ class TestLogRoundTrip:
         write_log([make_record(0, 1.0)], path)
         path.write_text(path.read_text() + "\n\n")
         assert len(read_log(path)) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["not json", '{"iteration": 1}', "[1, 2]", '{"outcome": 3}'],
+    )
+    def test_a_bad_line_is_named_by_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "log.jsonl"
+        write_log([make_record(0, 1.0), make_record(1, 2.0)], path)
+        lines = path.read_text().splitlines()
+        path.write_text(f"{lines[0]}\n\n{bad}\n{lines[1]}\n")
+        with pytest.raises(LogParseError, match=r"log\.jsonl, line 3: ") as raised:
+            read_log(path)
+        # Callers that catch ValueError (or the package's base error) still do.
+        assert isinstance(raised.value, ValueError)
+        assert isinstance(raised.value, PragmatuneError)
 
 
 class TestTrajectory:

@@ -1,12 +1,23 @@
 """Reward shaping: targets, rewards, history quantiles, penalty filtering."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragmatune.errors import EmptyHistoryError
 from pragmatune.evaluators import CompileFailure, RunFailure, Time
-from pragmatune.loops import Configuration, Reverse, Tile, Unroll
+from pragmatune.loops import (
+    Configuration,
+    Interchange,
+    Pack,
+    ParallelizeThread,
+    Reverse,
+    Tile,
+    Unroll,
+    pragma_identity,
+)
 from pragmatune.reward import (
     RankedHistory,
     RewardParams,
@@ -18,7 +29,10 @@ from pragmatune.reward import (
     tail_rank,
 )
 
-from helpers import eval_record
+from helpers import entry_records, eval_record
+
+# The package exports the ``reward`` function under the module's name.
+reward_module = importlib.import_module("pragmatune.reward")
 
 
 def rec(h, steps=(), iteration=0, phase=1):
@@ -128,12 +142,32 @@ class TestEvalRecord:
         with pytest.raises(ValueError):
             eval_record(Configuration(), CompileFailure("x"), 1.0, 0, 0)
 
-    def test_identities_ignore_loop_ids(self):
+
+class TestHistoryMasks:
+    def test_masks_ignore_loop_ids(self):
         a = rec(2.0, [Tile("i", 32, False), Reverse("i.t")])
         b = rec(3.0, [Tile("q.f", 32, False), Reverse("zz")])
-        assert a.identities == b.identities == frozenset(
-            {("tile", 32, False), ("reverse",)}
+        c = rec(4.0, [Tile("i", 32, True)])
+        root, ea, eb, ec = RankedHistory([rec(1.0), a, b, c]).entries()
+        assert root[:2] == (0, 0)
+        assert ea[1] == eb[1] == 0b11  # one bit per identity, numbered on first sight
+        assert ec[1] == 0b100
+
+    def test_each_mask_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            reward_module, "pragma_identity", lambda s: calls.append(s) or pragma_identity(s)
         )
+        history = RankedHistory([rec(1.0), rec(2.0, [Reverse("i"), Unroll("i", 2)])])
+        assert calls == []  # adding computes no mask
+        first = history.entries()
+        assert len(calls) == 2
+        history.add(rec(None, [Reverse("j")], iteration=2))
+        second = history.entries()
+        assert len(calls) == 3
+        assert second[:2] == first[:2] and second[2][1] == 0b1  # reverse's bit
+        lower, _ = quantile_split(history, 0.05)
+        assert second[2] in lower and len(calls) == 3
 
 
 class TestTailRank:
@@ -155,25 +189,27 @@ class TestQuantileSplit:
     def test_twenty_distinct_values_give_single_min_and_max(self):
         history = [rec(float(h), [Unroll("i", None)]) for h in range(1, 21)]
         lower, upper = quantile_split(RankedHistory(history), 0.05)
-        assert [r.h for r in lower] == [1.0]
-        assert [r.h for r in upper] == [20.0]
+        assert [r.h for r in entry_records(lower)] == [1.0]
+        assert [r.h for r in entry_records(upper)] == [20.0]
+        assert [a for a, _, _ in lower + upper] == [0, 19]
 
     def test_ties_widen_the_tail(self):
         history = [rec(h, [Reverse("i")]) for h in (1.0, 1.0, 2.0, 3.0)]
         lower, upper = quantile_split(RankedHistory(history), 0.25)
-        assert [r.h for r in lower] == [1.0, 1.0]
-        assert [r.h for r in upper] == [3.0]
+        assert [r.h for r in entry_records(lower)] == [1.0, 1.0]
+        assert [r.h for r in entry_records(upper)] == [3.0]
 
     def test_failures_always_in_lower(self):
         history = [rec(None), rec(4.0), rec(1.0), rec(None), rec(2.0), rec(3.0)]
         lower, upper = quantile_split(RankedHistory(history), 0.25)
-        assert [r.h for r in lower] == [None, 1.0, None]
-        assert [r.h for r in upper] == [4.0]
+        assert [r.h for r in entry_records(lower)] == [None, 1.0, None]
+        assert [r.h for r in entry_records(upper)] == [4.0]
+        assert [a for a, _, _ in lower] == [0, 2, 3]
 
     def test_single_success_lands_in_both_tails(self):
         history = [rec(2.0)]
         lower, upper = quantile_split(RankedHistory(history), 0.05)
-        assert lower == history and upper == history
+        assert entry_records(lower) == history and entry_records(upper) == history
 
     def test_no_success_raises(self):
         with pytest.raises(EmptyHistoryError):
@@ -188,6 +224,7 @@ class TestQuantileSplit:
     def test_tail_properties(self, hs, alpha):
         history = [rec(h) for h in hs]
         lower, upper = quantile_split(RankedHistory(history), alpha)
+        lower, upper = entry_records(lower), entry_records(upper)
         successes = [r for r in history if r.h is not None]
         best = max(r.h for r in successes)
         worst = min(r.h for r in successes)
@@ -214,8 +251,8 @@ class TestQuantileSplit:
         history = [rec(1.0)] + [rec(h, [Reverse("i")], k) for k, h in enumerate(hs, start=1)]
         lower, upper = quantile_split(RankedHistory(history), alpha)
         expected_lower, expected_upper = sorted_split(history, alpha)
-        assert [id(r) for r in lower] == [id(r) for r in expected_lower]
-        assert [id(r) for r in upper] == [id(r) for r in expected_upper]
+        assert [id(r) for r in entry_records(lower)] == [id(r) for r in expected_lower]
+        assert [id(r) for r in entry_records(upper)] == [id(r) for r in expected_upper]
 
 
 def sorted_split(history, alpha):
@@ -228,29 +265,101 @@ def sorted_split(history, alpha):
     return lower, upper
 
 
+def identity_filter(lower, upper):
+    """The filter's definition: each record's identity set, read from its config."""
+
+    def identities(record):
+        return frozenset(pragma_identity(s) for s in record.config.steps)
+
+    shared = frozenset().union(*(identities(r) for r in upper))
+    return [r for r in lower if r.config.steps and not (identities(r) & shared)]
+
+
+def split_entries(lower, upper):
+    """Entries of ``lower`` and ``upper`` records, masked by one history."""
+    entries = RankedHistory(lower + upper).entries()
+    return entries[: len(lower)], entries[len(lower) :]
+
+
 class TestPenaltyFilter:
     def test_shared_identity_is_dropped_ignoring_loop_ids(self):
         lower = [rec(0.5, [Tile("a", 32, False)])]
         upper = [rec(9.0, [Tile("z.f", 32, False)])]
-        assert penalty_filter(lower, upper) == []
+        assert penalty_filter(*split_entries(lower, upper)) == []
 
     def test_disjoint_identity_is_kept(self):
         lower = [rec(0.5, [Reverse("a")])]
         upper = [rec(9.0, [Tile("z", 32, False)])]
-        assert penalty_filter(lower, upper) == lower
+        assert entry_records(penalty_filter(*split_entries(lower, upper))) == lower
 
     def test_any_shared_step_drops_the_record(self):
         lower = [rec(0.5, [Reverse("a"), Tile("a", 2, False)])]
         upper = [rec(9.0, [Tile("b", 2, False), Unroll("b.t", 4)])]
-        assert penalty_filter(lower, upper) == []
+        assert penalty_filter(*split_entries(lower, upper)) == []
 
     def test_root_record_is_never_penalized(self):
         lower = [rec(1.0), rec(0.5, [Reverse("a")])]
         upper = [rec(9.0, [Tile("z", 32, False)])]
-        kept = penalty_filter(lower, upper)
-        assert [r.key for r in kept] == ["reverse(a)"]
+        kept = penalty_filter(*split_entries(lower, upper))
+        assert [r.key for r in entry_records(kept)] == ["reverse(a)"]
 
     def test_empty_upper_keeps_all_non_root(self):
         lower = [rec(1.0), rec(0.5, [Reverse("a")]), rec(None, [Tile("a", 4, True)])]
-        kept = penalty_filter(lower, [])
-        assert [r.key for r in kept] == ["reverse(a)", "tile(a;4;peel)"]
+        kept = penalty_filter(*split_entries(lower, []))
+        assert [r.key for r in entry_records(kept)] == ["reverse(a)", "tile(a;4;peel)"]
+
+
+# Steps whose identities repeat on different loop ids, so masks must
+# ignore the ids to agree with the identity sets.
+STEP_POOL = [
+    Tile("i", 32, False),
+    Tile("j.t", 32, False),
+    Tile("i", 4, True),
+    Interchange("i", (1, 0)),
+    Interchange("k", (1, 0)),
+    ParallelizeThread("j"),
+    Unroll("i", 2),
+    Unroll("i.t", 2),
+    Unroll("j", None),
+    Reverse("i"),
+    Reverse("k"),
+    Pack("i", "A"),
+    Pack("j", "A"),
+    Pack("j", "B"),
+]
+
+
+class TestMaskedTransferEqualsItsDefinition:
+    @settings(max_examples=150)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.none(), st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.01, 100.0)
+                ),
+                st.lists(st.sampled_from(STEP_POOL), min_size=1, max_size=3),
+                st.booleans(),
+            ),
+            max_size=60,
+        ),
+        st.floats(0.01, 0.49),
+    )
+    def test_split_and_filter_pick_the_defined_records(self, draws, alpha):
+        # The root (h = 1.0, no steps) comes first, as in a session; the
+        # history is split again wherever a draw says so, so masks are
+        # computed across several calls.
+        history = [rec(1.0)]
+        ranked = RankedHistory(history)
+        for k, (h, steps, split_here) in enumerate(draws + [(None, [Reverse("i")], True)], start=1):
+            record = rec(h, steps, k)
+            history.append(record)
+            ranked.add(record)
+            if not split_here:
+                continue
+            lower, upper = quantile_split(ranked, alpha)
+            expected_lower, expected_upper = sorted_split(history, alpha)
+            assert [id(r) for r in entry_records(lower)] == [id(r) for r in expected_lower]
+            assert [id(r) for r in entry_records(upper)] == [id(r) for r in expected_upper]
+            kept = entry_records(penalty_filter(lower, upper))
+            expected = identity_filter(expected_lower, expected_upper)
+            assert [id(r) for r in kept] == [id(r) for r in expected]

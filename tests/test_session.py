@@ -11,7 +11,7 @@ from pragmatune.evaluators import (
     Time,
 )
 from pragmatune.loops import Configuration, Reverse, Tile, Unroll
-from pragmatune.reward import RewardParams, TargetState
+from pragmatune.reward import RankedHistory, RewardParams, TargetState, quantile_split
 from pragmatune.session import (
     Budget,
     EvalRecord,
@@ -245,13 +245,14 @@ class TestLogging:
         assert back == record
         assert "config" not in record.to_dict()
 
-    def test_identities_are_kept_and_read_back_records_still_raise(self):
+    def test_a_split_that_reaches_a_read_back_record_raises(self):
         session = session_with(halver)
-        session.evaluate_root()
+        root = session.evaluate_root()
         record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
-        assert record.identities is record.identities
+        assert quantile_split(session.history, 0.05)  # live records carry configs
         back = record_from_dict(record.to_dict())
-        for _ in range(2):  # a failed build caches nothing
+        history = RankedHistory([root, back])
+        for _ in range(2):  # a failed mask build records nothing
             with pytest.raises(AttributeError):
-                back.identities
+                quantile_split(history, 0.05)
         assert back == record
