@@ -46,25 +46,32 @@ def fresh_session(method):
     return SearchSession(CachedEvaluator(landscape), budget, SimulatedClock(), method)
 
 
+def report(session):
+    # A searcher returns nothing; its session holds the result.
+    best = session.best
+    print(
+        f"{session.method:<4} best: h={best.h:.3f} depth={best.config.depth}  {best.key}"
+        f"  (stopped by {session.stop_reason})"
+    )
+
+
 mcts_session = fresh_session("mcts")
-best, _ = search(
+search(
     mcts_session,
     MctsParams(space=space, per_run_budget=60),
     nest,
     random.Random(derive_seed(MASTER_SEED, "walks")),
     random.Random(derive_seed(MASTER_SEED, "expand")),
 )
-print(f"mcts best: h={best.h:.3f} depth={best.config.depth}  {best.key}")
+report(mcts_session)
 
 rs_session = fresh_session("rs")
-best, _ = random_search(
-    rs_session, nest, space, random.Random(derive_seed(MASTER_SEED, "search"))
-)
-print(f"rs   best: h={best.h:.3f} depth={best.config.depth}  {best.key}")
+random_search(rs_session, nest, space, random.Random(derive_seed(MASTER_SEED, "search")))
+report(rs_session)
 
 bf_session = fresh_session("bf")
-best, _ = breadth_first(bf_session, nest, space)
-print(f"bf   best: h={best.h:.3f} depth={best.config.depth}  {best.key}")
+breadth_first(bf_session, nest, space)
+report(bf_session)
 
 # The trajectory table tracks the incumbent as the run unfolds; phase
 # markers show where the tree search restarted from a fresh tree.

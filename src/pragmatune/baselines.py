@@ -1,8 +1,8 @@
 """Baseline searchers: random sampling, breadth-first, global greedy.
 
 All three share the session's budget accounting and evaluation cache
-with the tree search, measure the root first, and return the best
-record plus every fresh evaluation's record.
+with the tree search, measure the root first, and return nothing: the
+session holds the records, the best one, and the stop reason.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def random_search(
     nest: LoopNest,
     params: SpaceParams,
     rng: random.Random,
-) -> tuple[EvalRecord, list[EvalRecord]]:
+) -> None:
     """Uniform random walks of uniform random depth, deduped by the cache.
 
     A finite space saturates the cache without consuming budget, so runs
@@ -36,7 +36,6 @@ def random_search(
         node = random_walk(start, rng.randint(1, params.d_max), rng, params)
         if session.measure(node.config, phase=0) is None:
             break
-    return session.best, session.records
 
 
 def _expand_all(
@@ -45,27 +44,31 @@ def _expand_all(
     frontier: Sized,
     pop: Callable[[], SpaceNode],
     push: Callable[[SpaceNode, EvalRecord], None],
-) -> tuple[EvalRecord, list[EvalRecord]]:
-    """Pop a node, measure all its children in index order, offer each to ``push``."""
+) -> None:
+    """Pop a node, measure all its children in index order, offer each to ``push``.
+
+    An empty frontier ends the run as ``space_exhausted``.
+    """
     while frontier and not session.out_of_budget():
         node = pop()
         for index in range(child_count(node, params)):
             if session.out_of_budget():
-                return session.best, session.records
+                return
             session.count_iteration()
             successor = child(node, index, params)
             measured = session.measure(successor.config, phase=0)
             if measured is None:
-                return session.best, session.records
+                return
             push(successor, measured[0])
-    return session.best, session.records
+    if not frontier:
+        session.stop_reason = "space_exhausted"
 
 
 def breadth_first(
     session: SearchSession,
     nest: LoopNest,
     params: SpaceParams,
-) -> tuple[EvalRecord, list[EvalRecord]]:
+) -> None:
     """Level-by-level sweep in child-index order.
 
     Children of failed configurations are still visited; the tree offers
@@ -73,16 +76,14 @@ def breadth_first(
     """
     session.evaluate_root()
     queue = deque([root_node(nest)])
-    return _expand_all(
-        session, params, queue, queue.popleft, lambda node, _: queue.append(node)
-    )
+    _expand_all(session, params, queue, queue.popleft, lambda node, _: queue.append(node))
 
 
 def global_greedy(
     session: SearchSession,
     nest: LoopNest,
     params: SpaceParams,
-) -> tuple[EvalRecord, list[EvalRecord]]:
+) -> None:
     """Expand the best measured configuration anywhere in the tree.
 
     Pops the highest-h node (ties to insertion order), measures all its
@@ -97,4 +98,4 @@ def global_greedy(
         if record.h is not None:
             heappush(heap, (-record.h, next(order), node))
 
-    return _expand_all(session, params, heap, lambda: heappop(heap)[2], push)
+    _expand_all(session, params, heap, lambda: heappop(heap)[2], push)

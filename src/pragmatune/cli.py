@@ -32,6 +32,11 @@ def _percent(text: str) -> float:
     return value
 
 
+def _mtime(path: Path) -> int | None:
+    """When ``path`` was last written, to tell a fresh output from a stale one."""
+    return path.stat().st_mtime_ns if path.exists() else None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pragmatune")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +79,15 @@ def main(argv: list[str] | None = None) -> int:
                 config = replace(config, seed=args.seed)
             if args.out:
                 config = replace(config, out_dir=args.out)
-            summary = run_experiment(config)
+            summary_path = Path(config.out_dir or ".", "summary.json")
+            before = _mtime(summary_path)
+            try:
+                summary = run_experiment(config)
+            except KeyboardInterrupt:
+                wrote = config.out_dir is not None and _mtime(summary_path) != before
+                files = f"{summary_path.with_name('log.jsonl')} and {summary_path}"
+                print(f"interrupted; wrote {files if wrote else 'nothing'}", file=sys.stderr)
+                return 130
             print(f"method: {summary.method}   seed: {summary.seed}")
             print(f"unique evaluations: {summary.unique_evaluations}")
             print(f"phases: {summary.phases}   wall clock: {summary.wall_clock_s:.3f}s")
@@ -82,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"best key: {summary.best_key or '(root)'}")
             for line in summary.best_pragmas:
                 print(f"  {line}")
+            print(f"stopped by: {summary.stop_reason}")
         elif args.command == "report":
             logs = [read_log(p) for p in args.log]
             if args.kind == "trajectory":

@@ -17,8 +17,9 @@ import json
 import logging
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import baselines, mcts
 from .errors import ExperimentConfigError
@@ -28,7 +29,7 @@ from .evaluators import (
     SyntheticLandscape,
     evaluate_external,
 )
-from .loops import load_loop_nest
+from .loops import LoopNest, load_loop_nest
 from .mcts import MctsParams
 from .reports import write_log
 from .reward import RewardParams
@@ -36,8 +37,6 @@ from .session import Budget, EvalRecord, MonotonicClock, SearchSession, Simulate
 from .space import SpaceParams
 
 logger = logging.getLogger("pragmatune")
-
-METHODS = ("mcts", "rs", "bf", "gg")
 
 LOG_ENV_VAR = "PRAGMA_MCTS_LOG"
 
@@ -69,6 +68,23 @@ class ExperimentConfig:
 
     def mcts_params(self) -> MctsParams:
         return replace(self.search, reward=self.reward, space=self.space)
+
+
+def _seeded(config: ExperimentConfig, label: str) -> random.Random:
+    return random.Random(derive_seed(config.seed, label))
+
+
+# Method name -> searcher; each fills the session and returns nothing.
+METHODS: dict[str, Callable[[SearchSession, LoopNest, ExperimentConfig], None]] = {
+    "mcts": lambda session, nest, config: mcts.search(
+        session, config.mcts_params(), nest, _seeded(config, "walks"), _seeded(config, "expand")
+    ),
+    "rs": lambda session, nest, config: baselines.random_search(
+        session, nest, config.space, _seeded(config, "search")
+    ),
+    "bf": lambda session, nest, config: baselines.breadth_first(session, nest, config.space),
+    "gg": lambda session, nest, config: baselines.global_greedy(session, nest, config.space),
+}
 
 
 def _take(doc: dict, key: str, cls):
@@ -128,7 +144,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ExperimentConfigError(f"cannot read nest file: {exc}") from exc
     method = doc.get("method", "mcts")
     if method not in METHODS:
-        raise ExperimentConfigError(f"method must be one of {METHODS}, got {method!r}")
+        raise ExperimentConfigError(f"method must be one of {tuple(METHODS)}, got {method!r}")
     evaluator = doc.get("evaluator", {"type": "synthetic"})
     if not isinstance(evaluator, dict) or evaluator.get("type", "synthetic") not in (
         "synthetic",
@@ -172,7 +188,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 @dataclass
 class ExperimentSummary:
-    """What a run produced; ``records`` is the in-memory log."""
+    """What a run produced and why it stopped; ``records`` is the in-memory log."""
 
     method: str
     seed: int
@@ -183,20 +199,14 @@ class ExperimentSummary:
     unique_evaluations: int
     wall_clock_s: float
     phases: int
+    stop_reason: str
     records: list[EvalRecord] = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "best_key": self.best_key,
-            "best_h": self.best_h,
-            "best_depth": self.best_depth,
-            "best_pragmas": list(self.best_pragmas),
-            "unique_evaluations": self.unique_evaluations,
-            "wall_clock_s": self.wall_clock_s,
-            "phases": self.phases,
-        }
+        """Every field but ``records``, in field order: the ``summary.json`` document."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        doc["best_pragmas"] = list(self.best_pragmas)
+        return doc
 
 
 def build_evaluator(config: ExperimentConfig):
@@ -224,6 +234,10 @@ def build_evaluator(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one method on one nest and return (and optionally persist) results.
 
+    Once the root is measured, the log and summary are written however
+    the search ends; an exception leaving it sets the stop reason to
+    ``interrupted`` (KeyboardInterrupt) or ``error``, then propagates.
+
     Cyclic garbage collection is off during the search, then restored:
     a search makes no reference cycles per evaluation, so reference
     counting frees all it drops and the collector would only rescan
@@ -238,26 +252,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if config.method == "mcts":
-            best, records = mcts.search(
-                session,
-                config.mcts_params(),
-                nest,
-                rng_walks=random.Random(derive_seed(config.seed, "walks")),
-                rng_expand=random.Random(derive_seed(config.seed, "expand")),
-            )
-        elif config.method == "rs":
-            best, records = baselines.random_search(
-                session, nest, config.space, random.Random(derive_seed(config.seed, "search"))
-            )
-        elif config.method == "bf":
-            best, records = baselines.breadth_first(session, nest, config.space)
-        else:
-            best, records = baselines.global_greedy(session, nest, config.space)
+        METHODS[config.method](session, nest, config)
+    except BaseException as exc:
+        session.stop_reason = "interrupted" if isinstance(exc, KeyboardInterrupt) else "error"
+        raise
     finally:
         if gc_was_enabled:
             gc.enable()
+        if session.best is not None:
+            summary = _summarize(config, session)
+    return summary
 
+
+def _summarize(config: ExperimentConfig, session: SearchSession) -> ExperimentSummary:
+    """The run's summary, written with its log when there is an output directory."""
+    best, records = session.best, session.records
     summary = ExperimentSummary(
         method=config.method,
         seed=config.seed,
@@ -268,6 +277,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         unique_evaluations=session.unique_evaluations,
         wall_clock_s=session.clock.elapsed(),
         phases=len({r.phase for r in records}),
+        stop_reason=session.stop_reason,
         records=records,
     )
     if config.out_dir is not None:

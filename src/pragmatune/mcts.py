@@ -153,34 +153,14 @@ class SearchNode:
             self._n_children = space.child_count(self.space, self._nodes.params)
         return self._n_children
 
-    @property
-    def mean_reward(self) -> float:
-        return self.total_reward / self.visits if self.visits else 0.0
-
-
-def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:
-    nodes = _SpaceNodes(nest, params.space)
-    return SearchNode(nodes.root, None, nodes)
-
-
-def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
-    """Mean reward plus the exploration term; unvisited children win outright.
-
-    The reference definition: ``select`` computes the same score inline.
-    """
-    if child.visits == 0:
-        return math.inf
-    return child.mean_reward + 2 * c * math.sqrt(
-        2 * math.log(parent_visits) / child.visits
-    )
-
 
 def select(root: SearchNode, target_depth: int, c: float) -> list[SearchNode]:
     """Descend by best UCT score (ties to the lowest child index).
 
     Stops at the target depth, at the first node with an unexpanded
-    child, or at a dead end. The score is ``uct_score``'s, computed
-    inline with the same float operations.
+    child, or at a dead end. A child scores its mean reward plus
+    ``2c * sqrt(2 ln(parent visits) / visits)``, and an unvisited child
+    scores infinity; the tests hold the reference definition.
     """
     path = [root]
     node = root
@@ -405,11 +385,11 @@ def search(
     nest: LoopNest,
     rng_walks: random.Random,
     rng_expand: random.Random,
-) -> tuple[EvalRecord, list[EvalRecord]]:
+) -> None:
     """Run the full phased search until the global budget is spent.
 
-    Returns the best record and every fresh evaluation's record. The
-    root is measured first; its failure is fatal.
+    The root is measured first; its failure is fatal. A root with no
+    children ends the run as ``space_exhausted``.
     """
     target = TargetState(params.reward)
     session.evaluate_root(target)
@@ -420,7 +400,8 @@ def search(
         nodes.restart()
         tree = SearchNode(nodes.root, None, nodes)
         if tree.n_children == 0:
-            break
+            session.stop_reason = "space_exhausted"
+            return
         upper, penalized = apply_transfer(tree, session.history, params, paths)
         evals_before, iterations_before = session.unique_evaluations, session.iterations
         d_star = learn_depth(tree, session, params, target, rng_walks, phase)
@@ -472,4 +453,3 @@ def search(
                 },
             )
         phase += 1
-    return session.best, session.records

@@ -1,10 +1,11 @@
 """Shared run bookkeeping: budget, clocks, and the evaluation records.
 
 Every searcher drives a SearchSession: it owns the evaluation cache,
-enforces the global budget, tracks the best configuration, and keeps
-one EvalRecord per fresh evaluation, which is both the search history
-and one line of the run log (cache hits produce nothing). The root
-baseline is measured once per run and does not consume budget.
+enforces the global budget, tracks the best configuration, keeps one
+EvalRecord per fresh evaluation, which is both the search history and
+one line of the run log (cache hits produce nothing), and records why
+the run stopped. Searchers return nothing: the session is the result.
+The root baseline is measured once per run and does not consume budget.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def record_from_dict(doc: dict) -> EvalRecord:
 
 
 class SearchSession:
-    """One search run: cache, budget, best-so-far, and the evaluation records."""
+    """One search run: cache, budget, best-so-far, records, and why it stopped."""
 
     def __init__(
         self,
@@ -168,6 +169,10 @@ class SearchSession:
         self.best: EvalRecord | None = None
         self.root_time: float | None = None
         self.iterations = 0
+        # Why the run ended: a bound (set by ``out_of_budget``),
+        # "space_exhausted" (set by the searcher), or "interrupted" or
+        # "error" (set by the harness as an exception leaves the search).
+        self.stop_reason: str | None = None
 
     @property
     def records(self) -> list[EvalRecord]:
@@ -183,14 +188,19 @@ class SearchSession:
         self.iterations += 1
 
     def out_of_budget(self) -> bool:
+        """Whether a bound has tripped; if so, ``stop_reason`` names the first one."""
         if self.unique_evaluations >= self.budget.max_unique:
-            return True
-        if self.clock.elapsed() >= self.budget.max_wall_clock_s:
-            return True
-        return (
+            self.stop_reason = "unique_budget"
+        elif self.clock.elapsed() >= self.budget.max_wall_clock_s:
+            self.stop_reason = "wall_clock"
+        elif (
             self.budget.max_iterations is not None
             and self.iterations >= self.budget.max_iterations
-        )
+        ):
+            self.stop_reason = "iterations"
+        else:
+            return False
+        return True
 
     def evaluate_root(self, target: TargetState | None = None) -> EvalRecord:
         """Measure the empty configuration; its time is the speedup baseline."""

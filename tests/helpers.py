@@ -4,11 +4,13 @@ The oracle rebuilds a node's ordered child list from scratch (its own
 chain detection, cross products over parameters, validity proven by
 applying every candidate) so the sparse index arithmetic in
 pragmatune.space is checked against something that cannot share its
-bugs.
+bugs. ``uct_score`` is the reference definition of the score
+``mcts.select`` computes inline.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations
 
@@ -24,6 +26,7 @@ from pragmatune.loops import (
     Unroll,
     apply,
 )
+from pragmatune.mcts import MctsParams, SearchNode, _SpaceNodes
 from pragmatune.rendering import pragma_lines
 from pragmatune.session import EvalRecord
 from pragmatune.space import SpaceParams
@@ -170,3 +173,21 @@ def eval_record(config: Configuration, outcome, h, iteration: int, phase: int) -
 def entry_records(entries) -> list[EvalRecord]:
     """The records of ``RankedHistory`` entries, in their order."""
     return [record for _, _, record in entries]
+
+
+def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:
+    """A fresh search tree over ``nest``, as a phase of ``mcts.search`` builds one."""
+    nodes = _SpaceNodes(nest, params.space)
+    return SearchNode(nodes.root, None, nodes)
+
+
+def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
+    """Mean reward plus the exploration term; unvisited children win outright.
+
+    The reference definition: ``mcts.select`` computes the same score
+    inline, with the same float operations.
+    """
+    if child.visits == 0:
+        return math.inf
+    mean_reward = child.total_reward / child.visits
+    return mean_reward + 2 * c * math.sqrt(2 * math.log(parent_visits) / child.visits)

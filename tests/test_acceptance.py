@@ -39,9 +39,7 @@ from pragmatune.mcts import (
     MctsParams,
     apply_transfer,
     detect_convergence,
-    make_root,
     search,
-    uct_score,
 )
 from pragmatune.rendering import render_pragmas
 from pragmatune.reward import (
@@ -65,9 +63,11 @@ from helpers import (
     chain_nest,
     entry_records,
     eval_record,
+    make_root,
     oracle_children,
     random_nest,
     random_params,
+    uct_score,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -203,14 +203,14 @@ def test_criterion_04_finds_the_known_global_optimum():
                 method="mcts",
             )
             params = MctsParams(space=space, per_run_budget=40, n_walks=30)
-            best, _ = search(
+            search(
                 session,
                 params,
                 nest,
                 random.Random(derive_seed(master, "walks")),
                 random.Random(derive_seed(master, "expand")),
             )
-            wins += abs(best.h - optimum) < 1e-12
+            wins += abs(session.best.h - optimum) < 1e-12
         assert wins >= 18
         assert time.perf_counter() - start < 60.0
         info["detail"] = f": {wins}/20 seeds"
@@ -233,22 +233,24 @@ def test_criterion_05_beats_random_and_breadth_first():
                     method="x",
                 )
 
-            best, _ = search(
-                fresh_session(),
+            session = fresh_session()
+            search(
+                session,
                 MctsParams(space=space),
                 nest,
                 random.Random(derive_seed(master, "walks")),
                 random.Random(derive_seed(master, "expand")),
             )
-            bests["mcts"].append(best.h)
-            best, _ = random_search(
-                fresh_session(), nest, space, random.Random(derive_seed(master, "search"))
-            )
-            bests["rs"].append(best.h)
-            best, _ = breadth_first(fresh_session(), nest, space)
-            bests["bf"].append(best.h)
-            best, _ = global_greedy(fresh_session(), nest, space)
-            bests["gg"].append(best.h)
+            bests["mcts"].append(session.best.h)
+            session = fresh_session()
+            random_search(session, nest, space, random.Random(derive_seed(master, "search")))
+            bests["rs"].append(session.best.h)
+            session = fresh_session()
+            breadth_first(session, nest, space)
+            bests["bf"].append(session.best.h)
+            session = fresh_session()
+            global_greedy(session, nest, space)
+            bests["gg"].append(session.best.h)
         medians = {m: statistics.median(v) for m, v in bests.items()}
         assert medians["mcts"] >= medians["rs"]
         assert medians["mcts"] >= medians["bf"]
@@ -293,13 +295,14 @@ def test_criterion_06_restart_escapes_a_shallow_optimum():
             method="mcts",
         )
         master = 4  # chosen so phase 0 converges onto the shallow trap
-        best, history = search(
+        search(
             session,
             MctsParams(space=space, per_run_budget=25, n_walks=8),
             nest,
             random.Random(derive_seed(master, "walks")),
             random.Random(derive_seed(master, "expand")),
         )
+        best, history = session.best, session.records
         phases = {r.phase for r in history}
         best_by_phase = {}
         for record in history:

@@ -18,6 +18,12 @@ from helpers import chain_nest
 TINY_SPACE = SpaceParams(
     tile_sizes=(2,), unroll_factors=(2,), peel_variants=(False,), d_max=3
 )
+# Reverse/parallelize/full-unroll combinations only: without tiling no
+# new loops appear, so the space is finite even for bf and gg, which
+# do not stop at d_max.
+FINITE_SPACE = SpaceParams(
+    tile_sizes=(), unroll_factors=(), peel_variants=(False,), d_max=9
+)
 
 
 def make_session(evaluator, **budget):
@@ -32,12 +38,11 @@ def make_session(evaluator, **budget):
 class TestRandomSearch:
     def test_respects_the_unique_budget(self):
         session = make_session(SyntheticLandscape(seed=1), max_unique=12)
-        best, history = random_search(
-            session, chain_nest(2), SpaceParams(d_max=4), random.Random(0)
-        )
+        random_search(session, chain_nest(2), SpaceParams(d_max=4), random.Random(0))
         assert session.unique_evaluations == 12
-        assert len(history) == 13
-        assert best.h == max(r.h for r in history if r.h is not None)
+        assert len(session.records) == 13
+        assert session.best.h == max(r.h for r in session.records if r.h is not None)
+        assert session.stop_reason == "unique_budget"
 
     def test_iteration_cap_ends_a_saturated_space(self):
         # One transformable loop and only a reverse available: two unique
@@ -54,13 +59,14 @@ class TestRandomSearch:
         random_search(session, chain_nest(1), params, random.Random(1))
         assert session.iterations == 40
         assert session.unique_evaluations < 40
+        assert session.stop_reason == "iterations"
 
     def test_depths_span_one_to_d_max(self):
         session = make_session(SyntheticLandscape(seed=3, failure_rate=0.0), max_unique=60)
-        _, history = random_search(
+        random_search(
             session, chain_nest(2, arrays=("A",)), SpaceParams(d_max=3), random.Random(2)
         )
-        depths = {r.config.depth for r in history}
+        depths = {r.config.depth for r in session.records}
         assert depths == {0, 1, 2, 3}
 
 
@@ -68,7 +74,8 @@ class TestBreadthFirst:
     def test_visits_level_one_in_child_index_order(self):
         level_one = child_count(root_node(chain_nest(1)), TINY_SPACE)
         session = make_session(SyntheticLandscape(seed=4), max_unique=level_one)
-        _, history = breadth_first(session, chain_nest(1), TINY_SPACE)
+        breadth_first(session, chain_nest(1), TINY_SPACE)
+        history = session.records
         keys = [r.key for r in history[1:]]
         assert keys == [
             "tile(i0;2;nopeel)",
@@ -89,23 +96,21 @@ class TestBreadthFirst:
             return Time(1.0)
 
         session = make_session(fail_reverse, max_unique=40)
-        _, history = breadth_first(session, chain_nest(1), TINY_SPACE)
+        breadth_first(session, chain_nest(1), TINY_SPACE)
         # Children of the failing reverse(i0) node were still measured.
         assert any(
-            r.key.startswith("reverse(i0)|") for r in history
+            r.key.startswith("reverse(i0)|") for r in session.records
         )
 
     def test_exhausts_a_finite_space_and_stops(self):
-        params = SpaceParams(
-            tile_sizes=(), unroll_factors=(), peel_variants=(False,), d_max=9
-        )
         session = make_session(
             SyntheticLandscape(seed=6, failure_rate=0.0), max_unique=10_000
         )
-        _, history = breadth_first(session, chain_nest(1), params)
-        # Space: reverse/parallelize/full-unroll combinations only.
+        breadth_first(session, chain_nest(1), FINITE_SPACE)
+        history = session.records
         assert session.unique_evaluations < 20
         assert len({r.key for r in history}) == len(history)
+        assert session.stop_reason == "space_exhausted"
 
 
 class TestGlobalGreedy:
@@ -119,7 +124,8 @@ class TestGlobalGreedy:
             interaction_range=(1.0, 1.0),
         )
         session = make_session(landscape, max_unique=10)
-        _, history = global_greedy(session, chain_nest(1), TINY_SPACE)
+        global_greedy(session, chain_nest(1), TINY_SPACE)
+        history = session.records
         level_one = [r for r in history if r.config.depth == 1]
         first_deep = next(r for r in history if r.config.depth == 2)
         assert first_deep.config.steps[0] == Unroll("i0", 2)
@@ -132,17 +138,26 @@ class TestGlobalGreedy:
             return Time(1.0 / (1.0 + config.depth))
 
         session = make_session(fail_deep_unrolls, max_unique=200)
-        _, history = global_greedy(session, chain_nest(1), TINY_SPACE)
-        unroll_keys = [r.key for r in history if "unroll" in r.key]
+        global_greedy(session, chain_nest(1), TINY_SPACE)
+        unroll_keys = [r.key for r in session.records if "unroll" in r.key]
         # Unroll nodes are measured once as children but never expanded.
         assert unroll_keys
         assert not any("unroll" in k.split("|")[0] and "|" in k for k in unroll_keys)
 
     def test_budget_is_respected(self):
         session = make_session(SyntheticLandscape(seed=8), max_unique=17)
-        _, history = global_greedy(session, chain_nest(2), SpaceParams())
+        global_greedy(session, chain_nest(2), SpaceParams())
         assert session.unique_evaluations == 17
-        assert len(history) == 18
+        assert len(session.records) == 18
+        assert session.stop_reason == "unique_budget"
+
+    def test_exhausts_a_finite_space_and_stops(self):
+        session = make_session(
+            SyntheticLandscape(seed=6, failure_rate=0.0), max_unique=10_000
+        )
+        global_greedy(session, chain_nest(1), FINITE_SPACE)
+        assert session.unique_evaluations < 20
+        assert session.stop_reason == "space_exhausted"
 
 
 class TestSharedBehavior:
@@ -155,7 +170,8 @@ class TestSharedBehavior:
             session = make_session(
                 SyntheticLandscape(seed=9), max_unique=6, max_iterations=50
             )
-            best, history = runner(session)
+            runner(session)
+            best, history = session.best, session.records
             assert history[0].key == ""
             assert history[0].h == 1.0
             assert [r.iteration for r in history] == list(range(len(history)))

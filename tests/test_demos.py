@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke tests: every demo script, and the README's quick start, run against the source tree."""
 
 import os
 import subprocess
@@ -11,20 +11,32 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_demos_exist():
-    assert DEMOS
-
-
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_exits_cleanly(script):
+def run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(script)],
+    return subprocess.run(
+        [sys.executable, *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_exits_cleanly(script):
+    done = run_python([str(script)])
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs():
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = run_python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "unique_budget"

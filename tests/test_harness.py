@@ -12,6 +12,7 @@ from pragmatune.errors import ExperimentConfigError, RootEvaluationError
 from pragmatune.evaluators import CompileFailure, SyntheticLandscape
 from pragmatune.harness import (
     LOG_ENV_VAR,
+    METHODS,
     ExperimentConfig,
     build_evaluator,
     configure_logging,
@@ -19,6 +20,7 @@ from pragmatune.harness import (
     load_experiment_config,
     run_experiment,
 )
+from pragmatune.reports import read_log, write_log
 from pragmatune.session import Budget, MonotonicClock, SimulatedClock
 
 NEST_DOC = {
@@ -31,6 +33,29 @@ NEST_DOC = {
 def experiment_dir(tmp_path):
     (tmp_path / "nest.json").write_text(json.dumps(NEST_DOC))
     return tmp_path
+
+
+def raise_on_call(monkeypatch, k, exc):
+    """Make every run's evaluator raise ``exc`` on its call number ``k + 1``.
+
+    The session calls the evaluator once per fresh evaluation, so the
+    first ``k`` records, the root first, are measured before it raises.
+    """
+
+    def build(config, build=harness.build_evaluator):
+        landscape, clock = build(config)
+        calls = 0
+
+        def evaluate(cfg):
+            nonlocal calls
+            calls += 1
+            if calls > k:
+                raise exc
+            return landscape(cfg)
+
+        return evaluate, clock
+
+    monkeypatch.setattr(harness, "build_evaluator", build)
 
 
 def write_experiment(directory, **overrides):
@@ -305,6 +330,69 @@ class TestRunExperiment:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize(
+        "budget,reason",
+        [
+            ({"max_unique": 6}, "unique_budget"),
+            ({"max_unique": 1000, "max_iterations": 10}, "iterations"),
+            ({"max_unique": 1000, "max_wall_clock_s": 3.0}, "wall_clock"),
+        ],
+    )
+    def test_each_bound_names_its_stop_reason(self, experiment_dir, method, budget, reason):
+        out = experiment_dir / "run"
+        path = write_experiment(experiment_dir, method=method, budget=budget, out=str(out))
+        summary = run_experiment(load_experiment_config(path))
+        assert summary.stop_reason == reason
+        assert json.loads((out / "summary.json").read_text())["stop_reason"] == reason
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize(
+        "exc,reason", [(KeyboardInterrupt(), "interrupted"), (OSError("disk gone"), "error")]
+    )
+    def test_a_search_that_raises_still_writes_what_it_measured(
+        self, experiment_dir, monkeypatch, method, exc, reason
+    ):
+        k = 9
+        full_out, out = experiment_dir / "full", experiment_dir / "cut"
+        run_experiment(
+            load_experiment_config(write_experiment(experiment_dir, method=method, out=str(full_out)))
+        )
+        raise_on_call(monkeypatch, k, exc)
+        config = load_experiment_config(write_experiment(experiment_dir, method=method, out=str(out)))
+        with pytest.raises(type(exc)):
+            run_experiment(config)
+        # The log holds exactly the k records measured before the raise,
+        # the same bytes as the uninterrupted run's first k lines.
+        data = (out / "log.jsonl").read_bytes()
+        full = (full_out / "log.jsonl").read_bytes().splitlines(keepends=True)
+        assert data.splitlines(keepends=True) == full[:k]
+        records = read_log(out / "log.jsonl")
+        assert len(records) == k and records[0].key == ""
+        write_log(records, experiment_dir / "again.jsonl")
+        assert (experiment_dir / "again.jsonl").read_bytes() == data
+        on_disk = json.loads((out / "summary.json").read_text())
+        assert on_disk["stop_reason"] == reason
+        assert on_disk["unique_evaluations"] == k - 1
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), OSError("disk gone")])
+    def test_a_raise_before_the_root_is_measured_writes_nothing(
+        self, experiment_dir, monkeypatch, exc
+    ):
+        out = experiment_dir / "run"
+        raise_on_call(monkeypatch, 0, exc)
+        with pytest.raises(type(exc)):
+            run_experiment(load_experiment_config(write_experiment(experiment_dir, out=str(out))))
+        assert not out.exists()
+
+    def test_a_failing_root_writes_nothing(self, experiment_dir, monkeypatch):
+        out = experiment_dir / "run"
+        failing_root = (lambda cfg: CompileFailure("no baseline"), SimulatedClock())
+        monkeypatch.setattr(harness, "build_evaluator", lambda config: failing_root)
+        with pytest.raises(RootEvaluationError):
+            run_experiment(load_experiment_config(write_experiment(experiment_dir, out=str(out))))
+        assert not out.exists()
+
     def test_synthetic_runs_are_byte_reproducible(self, experiment_dir):
         texts = []
         for name in ("a", "b"):
@@ -345,7 +433,34 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "unique evaluations: 40" in printed
         assert "best h:" in printed
+        assert "stopped by: unique_budget" in printed
         assert (out / "log.jsonl").exists()
+
+    def test_ctrl_c_names_the_files_written_and_exits_130(
+        self, experiment_dir, monkeypatch, capsys
+    ):
+        out = experiment_dir / "run"
+        path = str(write_experiment(experiment_dir))
+
+        def tune(*args):
+            try:
+                return main(["tune", "--config", path, *args])
+            except KeyboardInterrupt:
+                pytest.fail("KeyboardInterrupt escaped 'pragmatune tune'")
+
+        raise_on_call(monkeypatch, 5, KeyboardInterrupt())
+        assert tune("--out", str(out)) == 130
+        captured = capsys.readouterr()
+        assert captured.err == f"interrupted; wrote {out / 'log.jsonl'} and {out / 'summary.json'}\n"
+        assert captured.out == ""
+        assert json.loads((out / "summary.json").read_text())["stop_reason"] == "interrupted"
+        assert len((out / "log.jsonl").read_text().splitlines()) == 5
+        # Interrupted at the root, the run writes nothing; the files of
+        # the earlier run are not reported as this run's.
+        raise_on_call(monkeypatch, 0, KeyboardInterrupt())
+        for args in (["--out", str(out)], []):
+            assert tune(*args) == 130
+            assert capsys.readouterr().err == "interrupted; wrote nothing\n"
 
     def test_tune_overrides_method_and_seed(self, experiment_dir, capsys):
         path = write_experiment(

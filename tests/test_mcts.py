@@ -34,16 +34,22 @@ from pragmatune.mcts import (
     detect_convergence,
     expand,
     learn_depth,
-    make_root,
     search,
     select,
-    uct_score,
 )
 from pragmatune.reward import RankedHistory, RewardParams, TargetState
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
-from helpers import chain_nest, counting, eval_record, random_nest, random_params
+from helpers import (
+    chain_nest,
+    counting,
+    eval_record,
+    make_root,
+    random_nest,
+    random_params,
+    uct_score,
+)
 from test_pinned_logs import CHAIN3_NEST, PINNED_RESTARTS
 
 SMALL_SPACE = SpaceParams(
@@ -603,12 +609,11 @@ class TestSearch:
     def test_budget_is_exhausted_exactly(self):
         params = small_params()
         session = make_session(SyntheticLandscape(seed=21), max_unique=40)
-        best, history = search(
-            session, params, chain_nest(2), random.Random(1), random.Random(2)
-        )
+        search(session, params, chain_nest(2), random.Random(1), random.Random(2))
         assert session.unique_evaluations == 40
-        assert len(history) == 41  # root plus the budget
-        assert best.h == max(r.h for r in history if r.h is not None)
+        assert len(session.records) == 41  # root plus the budget
+        assert session.best.h == max(r.h for r in session.records if r.h is not None)
+        assert session.stop_reason == "unique_budget"
 
     def test_search_is_deterministic(self):
         def run():
@@ -631,18 +636,16 @@ class TestSearch:
 
         nest = LoopNest((Loop("i", transformable=False),))
         session = make_session(flat_landscape())
-        best, history = search(
-            session, small_params(), nest, random.Random(0), random.Random(0)
-        )
-        assert [r.key for r in history] == [""]
-        assert best.h == 1.0
+        search(session, small_params(), nest, random.Random(0), random.Random(0))
+        assert [r.key for r in session.records] == [""]
+        assert session.best.h == 1.0
+        assert session.stop_reason == "space_exhausted"
 
     def test_small_phases_restart_and_keep_history(self):
         params = small_params(per_run_budget=5, n_walks=2)
         session = make_session(SyntheticLandscape(seed=8), max_unique=25)
-        _, history = search(
-            session, params, chain_nest(2), random.Random(6), random.Random(7)
-        )
+        search(session, params, chain_nest(2), random.Random(6), random.Random(7))
+        history = session.records
         phases = {r.phase for r in history}
         assert len(phases) >= 3  # root phase plus several restarts
         assert [r.iteration for r in history] == list(range(len(history)))

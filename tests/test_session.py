@@ -184,19 +184,23 @@ class TestOutOfBudget:
         session = session_with(SyntheticLandscape(seed=0), max_unique=0)
         session.evaluate_root()
         assert session.out_of_budget()
+        assert session.stop_reason == "unique_budget"
 
     def test_wall_clock_budget(self):
         session = session_with(lambda c: Time(10.0), max_wall_clock_s=5.0)
         session.evaluate_root()
         assert session.out_of_budget()
+        assert session.stop_reason == "wall_clock"
 
     def test_iteration_budget(self):
         session = session_with(lambda c: Time(1.0), max_iterations=2)
         session.evaluate_root()
         session.count_iteration()
         assert not session.out_of_budget()
+        assert session.stop_reason is None
         session.count_iteration()
         assert session.out_of_budget()
+        assert session.stop_reason == "iterations"
 
 
 class TestLogging:
