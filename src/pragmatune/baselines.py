@@ -31,11 +31,10 @@ def random_search(
     """
     session.evaluate_root()
     start = root_node(nest)
-    while not session.out_of_budget():
-        session.count_iteration()
+    while True:
         node = random_walk(start, rng.randint(1, params.d_max), rng, params)
         if session.measure(node.config, phase=0) is None:
-            break
+            return
 
 
 def _expand_all(
@@ -52,9 +51,6 @@ def _expand_all(
     while frontier and not session.out_of_budget():
         node = pop()
         for index in range(child_count(node, params)):
-            if session.out_of_budget():
-                return
-            session.count_iteration()
             successor = child(node, index, params)
             measured = session.measure(successor.config, phase=0)
             if measured is None:

@@ -59,7 +59,6 @@ class MctsParams:
     same_config_limit: int = 10
     reward: RewardParams = field(default_factory=RewardParams)
     space: SpaceParams = field(default_factory=SpaceParams)
-    check_invariants: bool = False
 
     def __post_init__(self) -> None:
         if self.c < 0:
@@ -210,18 +209,6 @@ def backpropagate(path: list[SearchNode], value: float) -> None:
         node.total_reward += value
 
 
-def assert_consistent(node: SearchNode) -> None:
-    """Debug check of the visit-count identity over a whole subtree."""
-    child_visits = sum(c.visits for c in node.children.values())
-    if node.visits != child_visits + node.terminal_count:
-        raise AssertionError(
-            f"node {node.space.key!r}: visits {node.visits} != "
-            f"children {child_visits} + terminals {node.terminal_count}"
-        )
-    for child in node.children.values():
-        assert_consistent(child)
-
-
 class IterationLog:
     """Per-phase convergence bookkeeping.
 
@@ -241,12 +228,21 @@ class IterationLog:
             self.no_improve_run = 0 if improved else self.no_improve_run + 1
 
 
-def detect_convergence(log: IterationLog) -> bool:
-    """True once best-h stalls for the limit or terminals stop moving."""
+def detect_convergence(log: IterationLog) -> str | None:
+    """Why the phase converged, or None: best-h stalled for the limit
+    (``no_improve``) or terminals stopped moving (``same_config``)."""
     if log.no_improve_run >= log.no_improve_limit:
-        return True
+        return "no_improve"
     keys = log.recent_keys
-    return len(keys) == keys.maxlen and len(set(keys)) == 1
+    return "same_config" if len(keys) == keys.maxlen and len(set(keys)) == 1 else None
+
+
+def _descend(path: list[SearchNode], depth: int, rng: random.Random) -> None:
+    """Extend ``path`` by uniformly drawn children down to ``depth`` or a dead end."""
+    node = path[-1]
+    while node.space.depth < depth and node.n_children > 0:
+        node = _get_or_create(node, rng.randrange(node.n_children))
+        path.append(node)
 
 
 def _playout(
@@ -288,24 +284,15 @@ def learn_depth(
     best_h: float | None = None
     d_star = 1
     for _ in range(params.n_walks):
-        if session.out_of_budget():
-            break
-        session.count_iteration()
-        depth = rng.randint(1, params.space.d_max)
         path = [tree]
-        node = tree
-        for _ in range(depth):
-            if node.n_children == 0:
-                break
-            node = _get_or_create(node, rng.randrange(node.n_children))
-            path.append(node)
+        _descend(path, rng.randint(1, params.space.d_max), rng)
         measured = _playout(path, session, params, target, phase)
         if measured is None:
             break
         h = measured[0].h
         if h is not None and (best_h is None or h > best_h):
             best_h = h
-            d_star = max(1, node.space.depth)
+            d_star = max(1, path[-1].space.depth)
     return d_star
 
 
@@ -362,23 +349,6 @@ def apply_transfer(
     return len(upper), len(penalized)
 
 
-def _phase_end(
-    session: SearchSession,
-    params: MctsParams,
-    log: IterationLog,
-    phase_evals: int,
-    phase_iterations: int,
-) -> str:
-    """Why a phase's loop stopped, tested in the order of its condition."""
-    if phase_evals >= params.per_run_budget:
-        return "per_run_budget"
-    if phase_iterations >= params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR:
-        return "iteration_cap"
-    if session.out_of_budget():
-        return "global_budget"
-    return "no_improve" if log.no_improve_run >= log.no_improve_limit else "same_config"
-
-
 def search(
     session: SearchSession,
     params: MctsParams,
@@ -409,23 +379,23 @@ def search(
         log = IterationLog(params.no_improve_limit, params.same_config_limit)
         iteration_cap = params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
         phase_iterations = 0
-        ended = None
-        while (
-            phase_evals < params.per_run_budget
-            and phase_iterations < iteration_cap
-            and not session.out_of_budget()
-            and not detect_convergence(log)
-        ):
-            session.count_iteration()
+        while True:
+            if phase_evals >= params.per_run_budget:
+                ended = "per_run_budget"
+            elif phase_iterations >= iteration_cap:
+                ended = "iteration_cap"
+            elif session.out_of_budget():
+                ended = "global_budget"
+            else:
+                ended = detect_convergence(log)
+            if ended:
+                break
             phase_iterations += 1
             path = select(tree, d_star, params.c)
             leaf = path[-1]
-            if leaf.space.depth < d_star and len(leaf.children) < leaf.n_children and leaf.n_children > 0:
+            if leaf.space.depth < d_star and len(leaf.children) < leaf.n_children:
                 path.append(expand(leaf, rng_expand))
-            node = path[-1]
-            while node.space.depth < d_star and node.n_children > 0:
-                node = _get_or_create(node, rng_walks.randrange(node.n_children))
-                path.append(node)
+            _descend(path, d_star, rng_walks)
             measured = _playout(path, session, params, target, phase)
             if measured is None:
                 ended = "global_budget"
@@ -433,11 +403,8 @@ def search(
             record, fresh = measured
             if fresh:
                 phase_evals += 1
-            log.note(node.space.key, fresh and session.best is record, fresh)
-            if params.check_invariants:
-                assert_consistent(tree)
+            log.note(path[-1].space.key, fresh and session.best is record, fresh)
         if logger.isEnabledFor(logging.DEBUG):
-            ended = ended or _phase_end(session, params, log, phase_evals, phase_iterations)
             logger.debug(
                 "phase %(phase)d: d*=%(d_star)d, transfer upper=%(upper)d "
                 "penalized=%(penalized)d, fresh=%(fresh)d, iterations=%(iterations)d, "

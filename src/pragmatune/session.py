@@ -1,7 +1,8 @@
 """Shared run bookkeeping: budget, clocks, and the evaluation records.
 
 Every searcher drives a SearchSession: it owns the evaluation cache,
-enforces the global budget, tracks the best configuration, keeps one
+spends the global budget (each ``measure`` is one iteration, refused
+once a bound trips), tracks the best configuration, keeps one
 EvalRecord per fresh evaluation, which is both the search history and
 one line of the run log (cache hits produce nothing), and records why
 the run stopped. Searchers return nothing: the session is the result.
@@ -26,9 +27,9 @@ class Budget:
     """Global stopping rules shared by every search method.
 
     ``max_unique`` counts unique configurations measured beyond the root
-    baseline. ``max_iterations`` (optional) bounds total search
-    iterations, cache hits included; finite spaces need it because a
-    saturated cache stops consuming the unique budget.
+    baseline. ``max_iterations`` (optional) allows n iterations, each a
+    ``SearchSession.measure`` that may measure, cache hits included; finite
+    spaces need it because a saturated cache spends no unique budget.
     """
 
     max_unique: int = 1000
@@ -74,6 +75,12 @@ class SimulatedClock:
         self._elapsed += seconds
 
 
+# The log name of each outcome type; a logged outcome is its name under
+# "kind" followed by the outcome's own fields.
+OUTCOME_KINDS = {"time": Time, "compile_failure": CompileFailure, "run_failure": RunFailure}
+_KIND_NAMES = {cls: kind for kind, cls in OUTCOME_KINDS.items()}
+
+
 @dataclass(frozen=True)
 class EvalRecord:
     """One fresh evaluation: a line of the run log and an entry of the history.
@@ -101,12 +108,7 @@ class EvalRecord:
             raise ValueError("h must be present exactly for successful outcomes")
 
     def to_dict(self) -> dict:
-        if isinstance(self.outcome, Time):
-            outcome = {"kind": "time", "seconds": self.outcome.seconds}
-        elif isinstance(self.outcome, CompileFailure):
-            outcome = {"kind": "compile_failure", "reason": self.outcome.reason}
-        else:
-            outcome = {"kind": "run_failure", "reason": self.outcome.reason}
+        outcome = {"kind": _KIND_NAMES[type(self.outcome)], **vars(self.outcome)}
         return {
             "iteration": self.iteration,
             "phase": self.phase,
@@ -123,14 +125,9 @@ class EvalRecord:
 
 
 def record_from_dict(doc: dict) -> EvalRecord:
-    raw = doc["outcome"]
-    outcome: Outcome
-    if raw["kind"] == "time":
-        outcome = Time(raw["seconds"])
-    elif raw["kind"] == "compile_failure":
-        outcome = CompileFailure(raw.get("reason", ""))
-    else:
-        outcome = RunFailure(raw.get("reason", ""))
+    """The record of one log line; an unknown outcome kind raises KeyError."""
+    fields = dict(doc["outcome"])
+    outcome = OUTCOME_KINDS[fields.pop("kind")](**fields)
     return EvalRecord(
         iteration=doc["iteration"],
         phase=doc["phase"],
@@ -214,23 +211,25 @@ class SearchSession:
     def measure(
         self, config: Configuration, phase: int, target: TargetState | None = None
     ) -> tuple[EvalRecord, bool] | None:
-        """Evaluate through the cache, minding the budget.
+        """Spend one iteration on ``config``, unless a bound has tripped.
 
-        Returns the record and whether it is fresh, or None when the
-        configuration is unseen but the budget has no room for another
-        fresh evaluation. A cache hit is free and returns the record
-        first measured for its key. Every successful measurement, cache
-        hits included, updates ``target`` when one is given.
+        Returns None, counting nothing, once ``out_of_budget`` is True.
+        Otherwise counts the iteration and returns the record and
+        whether it is fresh: a configuration seen before costs no
+        evaluation and returns the record first measured for its key; an
+        unseen one is evaluated through the cache. Every successful
+        measurement, repeats included, updates ``target`` when one is given.
         """
         if self.root_time is None:
             raise RootEvaluationError("evaluate_root must run before measure")
+        if self.out_of_budget():
+            return None
+        self.count_iteration()
         record = self._by_key.get(config.key)
         if record is not None:
             if target is not None and record.h is not None:
                 target.update(record.h)
             return record, False
-        if self.out_of_budget():
-            return None
         outcome = self.cache.evaluate(config)
         h = speedup(self.root_time, outcome.seconds) if outcome.ok else None
         return self._record(config, outcome, h, phase, target), True

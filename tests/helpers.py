@@ -5,15 +5,19 @@ chain detection, cross products over parameters, validity proven by
 applying every candidate) so the sparse index arithmetic in
 pragmatune.space is checked against something that cannot share its
 bugs. ``uct_score`` is the reference definition of the score
-``mcts.select`` computes inline.
+``mcts.select`` computes inline, and ``consistent_playouts`` checks the
+tree's visit identity after every playout of a search.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from itertools import permutations
+from unittest import mock
 
+from pragmatune import mcts
 from pragmatune.loops import (
     Configuration,
     Interchange,
@@ -191,3 +195,36 @@ def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
         return math.inf
     mean_reward = child.total_reward / child.visits
     return mean_reward + 2 * c * math.sqrt(2 * math.log(parent_visits) / child.visits)
+
+
+def assert_consistent(node: SearchNode) -> None:
+    """The visit-count identity over a whole subtree: visits == child visits + terminals."""
+    child_visits = sum(c.visits for c in node.children.values())
+    if node.visits != child_visits + node.terminal_count:
+        raise AssertionError(
+            f"node {node.space.key!r}: visits {node.visits} != "
+            f"children {child_visits} + terminals {node.terminal_count}"
+        )
+    for child in node.children.values():
+        assert_consistent(child)
+
+
+@contextmanager
+def consistent_playouts():
+    """Within the block, assert the visit identity of the whole tree after every playout.
+
+    Patches ``mcts._playout``, so the ``learn_depth`` walks are checked
+    as well as the main loop. Yields a list that gets one entry per
+    playout: whether it measured (False when the budget refused it).
+    """
+    playout = mcts._playout
+    playouts: list[bool] = []
+
+    def checked(path, *args):
+        measured = playout(path, *args)
+        assert_consistent(path[0])
+        playouts.append(measured is not None)
+        return measured
+
+    with mock.patch.object(mcts, "_playout", checked):
+        yield playouts

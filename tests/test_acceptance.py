@@ -61,6 +61,7 @@ from pragmatune.space import (
 
 from helpers import (
     chain_nest,
+    consistent_playouts,
     entry_records,
     eval_record,
     make_root,
@@ -470,7 +471,7 @@ def test_criterion_10_randomized_invariants():
                 previous = target.f
                 cases += 1
 
-        # Full searches: per-iteration tree consistency (check_invariants),
+        # Full searches: per-playout tree consistency (consistent_playouts),
         # unique history keys, monotone best-so-far in the log.
         for seed in (1, 2, 3):
             session = SearchSession(
@@ -479,19 +480,20 @@ def test_criterion_10_randomized_invariants():
                 SimulatedClock(),
                 method="mcts",
             )
-            search(
-                session,
-                MctsParams(
-                    space=SpaceParams(
-                        tile_sizes=(2, 8), unroll_factors=(2, 4), d_max=4
+            with consistent_playouts() as playouts:
+                search(
+                    session,
+                    MctsParams(
+                        space=SpaceParams(
+                            tile_sizes=(2, 8), unroll_factors=(2, 4), d_max=4
+                        ),
+                        per_run_budget=30,
                     ),
-                    per_run_budget=30,
-                    check_invariants=True,
-                ),
-                chain_nest(2),
-                random.Random(derive_seed(seed, "walks")),
-                random.Random(derive_seed(seed, "expand")),
-            )
+                    chain_nest(2),
+                    random.Random(derive_seed(seed, "walks")),
+                    random.Random(derive_seed(seed, "expand")),
+                )
+            assert playouts.count(True) == session.iterations
             keys = [r.key for r in session.records]
             assert len(set(keys)) == len(keys)
             assert session.unique_evaluations == len(session.records) - 1

@@ -1,6 +1,9 @@
 """Random, breadth-first, and greedy baselines on small spaces."""
 
 import random
+from pathlib import Path
+
+import pytest
 
 from pragmatune.baselines import breadth_first, global_greedy, random_search
 from pragmatune.evaluators import (
@@ -9,7 +12,7 @@ from pragmatune.evaluators import (
     SyntheticLandscape,
     Time,
 )
-from pragmatune.loops import Reverse, Unroll
+from pragmatune.loops import Reverse, Unroll, load_loop_nest
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams, child_count, root_node
 
@@ -24,6 +27,9 @@ TINY_SPACE = SpaceParams(
 FINITE_SPACE = SpaceParams(
     tile_sizes=(), unroll_factors=(), peel_variants=(False,), d_max=9
 )
+
+
+DEMO_NEST_TEXT = (Path(__file__).resolve().parent.parent / "demos" / "matscale_nest.json").read_text()
 
 
 def make_session(evaluator, **budget):
@@ -176,3 +182,13 @@ class TestSharedBehavior:
             assert history[0].h == 1.0
             assert [r.iteration for r in history] == list(range(len(history)))
             assert best.h >= 1.0 or all(r.h is None for r in history[1:])
+
+
+class TestIterationBudget:
+    @pytest.mark.parametrize("search", [breadth_first, global_greedy], ids=["bf", "gg"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_n_iterations_measure_n_fresh_configurations(self, search, n):
+        session = make_session(SyntheticLandscape(seed=1), max_unique=100, max_iterations=n)
+        search(session, load_loop_nest(DEMO_NEST_TEXT), SpaceParams())
+        assert session.unique_evaluations == session.iterations == n
+        assert session.stop_reason == "iterations"

@@ -23,13 +23,12 @@ from pragmatune.evaluators import (
     SyntheticLandscape,
     Time,
 )
-from pragmatune.loops import Configuration, Interchange, Reverse, Tile, Unroll
+from pragmatune.loops import Configuration, Interchange, Loop, LoopNest, Reverse, Tile, Unroll
 from pragmatune.mcts import (
     IterationLog,
     MctsParams,
     SearchNode,
     apply_transfer,
-    assert_consistent,
     backpropagate,
     detect_convergence,
     expand,
@@ -42,7 +41,9 @@ from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
 from helpers import (
+    assert_consistent,
     chain_nest,
+    consistent_playouts,
     counting,
     eval_record,
     make_root,
@@ -58,9 +59,14 @@ SMALL_SPACE = SpaceParams(
 
 
 def small_params(**overrides):
-    defaults = dict(space=SMALL_SPACE, check_invariants=True)
-    defaults.update(overrides)
-    return MctsParams(**defaults)
+    return MctsParams(**{"space": SMALL_SPACE, **overrides})
+
+
+@pytest.fixture
+def checked():
+    """Every playout of the test checks its tree's visit identity."""
+    with consistent_playouts() as playouts:
+        yield playouts
 
 
 def stub_node(visits, total_reward):
@@ -299,6 +305,7 @@ class TestConvergence:
         assert detect_convergence(log)  # the key window tripped, not the run
 
 
+@pytest.mark.usefixtures("checked")
 class TestLearnDepth:
     def test_all_ties_pick_the_first_walk(self):
         params = small_params()
@@ -605,6 +612,7 @@ class TestLazyTree:
             assert run() == handed_on
 
 
+@pytest.mark.usefixtures("checked")
 class TestSearch:
     def test_budget_is_exhausted_exactly(self):
         params = small_params()
@@ -632,8 +640,6 @@ class TestSearch:
             search(session, small_params(), chain_nest(1), random.Random(0), random.Random(0))
 
     def test_frozen_nest_stops_after_the_root(self):
-        from pragmatune.loops import Loop, LoopNest
-
         nest = LoopNest((Loop("i", transformable=False),))
         session = make_session(flat_landscape())
         search(session, small_params(), nest, random.Random(0), random.Random(0))
@@ -650,11 +656,13 @@ class TestSearch:
         assert len(phases) >= 3  # root phase plus several restarts
         assert [r.iteration for r in history] == list(range(len(history)))
 
-    def test_invariants_hold_throughout_a_run(self):
-        params = small_params(check_invariants=True, per_run_budget=10)
+    def test_invariants_hold_throughout_a_run(self, checked):
+        params = small_params(per_run_budget=10)
         session = make_session(SyntheticLandscape(seed=13), max_unique=30)
         search(session, params, chain_nest(2), random.Random(9), random.Random(10))
         assert session.unique_evaluations == 30
+        # Every counted iteration was a checked playout.
+        assert checked.count(True) == session.iterations >= 30
 
 
 def restart_heavy_config(out_dir=None):
@@ -704,24 +712,44 @@ class TestRestartHeavyRun:
         log_digest = hashlib.sha256((tmp_path / "log.jsonl").read_bytes()).hexdigest()
         assert log_digest == PINNED_RESTARTS[1][0]
 
-    def test_without_debug_logging_no_phase_end_is_worked_out(self, caplog):
-        caplog.set_level(logging.INFO, logger="pragmatune")
-        with mock.patch.object(mcts, "_phase_end", side_effect=AssertionError):
-            summary = run_experiment(restart_heavy_config())
-        assert summary.phases == 11
+
+# ROADMAP item 1's repro: one loop, a 15-configuration space.
+REPRO_NEST = LoopNest((Loop("i"),))
+REPRO_SPACE = SpaceParams(tile_sizes=(2,), unroll_factors=(), peel_variants=(False,), d_max=2)
+CHAIN_RUN = (chain_nest(2), SpaceParams(d_max=3), Budget(max_unique=30))
+NEVER = 10**6
+
+# One small search per way a phase can end: nest, space, budget, knobs.
+PHASE_END_RUNS = {
+    "per_run_budget": (*CHAIN_RUN, dict(per_run_budget=5, n_walks=2)),
+    "no_improve": (*CHAIN_RUN, dict(no_improve_limit=1)),
+    "same_config": (*CHAIN_RUN, dict(same_config_limit=1)),
+    "iteration_cap": (
+        REPRO_NEST,
+        REPRO_SPACE,
+        Budget(max_unique=30, max_iterations=2000),
+        dict(per_run_budget=20, no_improve_limit=NEVER, same_config_limit=NEVER),
+    ),
+    "global_budget": (*CHAIN_RUN, {}),
+}
 
 
 class TestPhaseEnd:
-    def test_reasons_follow_the_loop_condition(self):
-        params = small_params(per_run_budget=5)
-        session = make_session(flat_landscape(), max_iterations=1)
-        log = IterationLog(no_improve_limit=3, same_config_limit=2)
-        assert mcts._phase_end(session, params, log, 5, 0) == "per_run_budget"
-        assert mcts._phase_end(session, params, log, 4, 100) == "iteration_cap"
-        log.note("a", improved=False)
-        log.note("a", improved=False)
-        assert mcts._phase_end(session, params, log, 4, 2) == "same_config"
-        log.note("b", improved=False)
-        assert mcts._phase_end(session, params, log, 4, 3) == "no_improve"
-        session.count_iteration()
-        assert mcts._phase_end(session, params, log, 4, 3) == "global_budget"
+    @pytest.mark.parametrize("reason", sorted(PHASE_ENDS))
+    def test_a_phase_record_names_the_test_that_ended_it(self, caplog, reason):
+        nest, space_params, budget, knobs = PHASE_END_RUNS[reason]
+        caplog.set_level(logging.DEBUG, logger="pragmatune")
+        session = SearchSession(
+            CachedEvaluator(SyntheticLandscape(seed=3)), budget, SimulatedClock(), method="mcts"
+        )
+        params = MctsParams(space=space_params, **knobs)
+        search(session, params, nest, random.Random(1), random.Random(2))
+        phases = [r.args for r in caplog.records if r.funcName == "search"]
+        ended = [p["ended"] for p in phases]
+        assert reason in ended and set(ended) <= PHASE_ENDS
+        assert sum(p["iterations"] for p in phases) == session.iterations
+        if reason == "iteration_cap":
+            cap = params.per_run_budget * mcts._PHASE_ITERATION_CAP_FACTOR
+            assert all(p["iterations"] >= cap for p in phases[:-1])
+        if reason != "per_run_budget":  # that run's last phase fills both budgets at once
+            assert ended[-1] == "global_budget"

@@ -65,6 +65,19 @@ class TestLogRoundTrip:
         assert isinstance(raised.value, PragmatuneError)
 
 
+    @pytest.mark.parametrize(
+        "h,kind,typo", [(2.0, "time", "tiem"), (None, "compile_failure", "compile_failur")]
+    )
+    def test_an_unknown_outcome_kind_is_named_by_file_and_line(self, tmp_path, h, kind, typo):
+        path = tmp_path / "log.jsonl"
+        write_log([make_record(0, 1.0), make_record(1, h)], path)
+        first, second = path.read_text().splitlines()
+        second = second.replace(f'"kind": "{kind}"', f'"kind": "{typo}"')
+        path.write_text(f"{first}\n{second}\n")
+        with pytest.raises(LogParseError, match=rf"log\.jsonl, line 2: KeyError: '{typo}'"):
+            read_log(path)
+
+
 class TestTrajectory:
     def test_table_shape_and_phase_markers(self):
         records = [

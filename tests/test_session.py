@@ -126,14 +126,26 @@ class TestMeasure:
         assert session.clock.elapsed() == 1.0  # failures cost no simulated time
         assert session.best.key == ""
 
-    def test_budget_blocks_fresh_but_not_cached(self):
+    def test_a_tripped_bound_refuses_cached_and_unseen_alike(self):
         session = session_with(lambda c: Time(1.0), max_unique=1)
         session.evaluate_root()
         assert session.measure(cfg(Reverse("i")), phase=0) is not None
         assert session.out_of_budget()
         assert session.measure(cfg(Unroll("i", 2)), phase=0) is None
-        revisit = session.measure(cfg(Reverse("i")), phase=0)
-        assert revisit is not None and not revisit[1]
+        assert session.measure(cfg(Reverse("i")), phase=0) is None
+        assert session.iterations == 1  # refused calls count nothing
+        assert session.stop_reason == "unique_budget"
+
+    def test_each_call_is_one_iteration_and_the_last_may_measure(self):
+        session = session_with(halver, max_iterations=3)
+        session.evaluate_root()
+        assert session.iterations == 0  # the root is free
+        session.measure(cfg(Reverse("i")), phase=0)
+        assert not session.measure(cfg(Reverse("i")), phase=0)[1]  # a hit costs an iteration
+        assert session.measure(cfg(Unroll("i", 2)), phase=0)[1]
+        assert session.iterations == 3 and session.unique_evaluations == 2
+        assert session.measure(cfg(Reverse("j")), phase=0) is None
+        assert session.stop_reason == "iterations"
 
     def test_best_prefers_higher_h_and_keeps_the_first_tie(self):
         times = {"": 1.0, "reverse(i)": 0.5, "unroll(i;2)": 0.5, "reverse(j)": 0.25}
