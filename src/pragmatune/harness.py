@@ -276,7 +276,7 @@ def _summarize(config: ExperimentConfig, session: SearchSession) -> ExperimentSu
         best_pragmas=best.pragmas,
         unique_evaluations=session.unique_evaluations,
         wall_clock_s=session.clock.elapsed(),
-        phases=len({r.phase for r in records}),
+        phases=session.phases,
         stop_reason=session.stop_reason,
         records=records,
     )

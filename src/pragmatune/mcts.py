@@ -12,9 +12,10 @@ A restart pays for the tails it replays, not for the whole history: the
 session keeps its records ranked as they arrive (``RankedHistory``), so
 the split reads two ranks, and the penalty filter compares
 pragma-identity bitmasks, so a restart reads only the records it
-replays. Within a phase, ``select`` scores children inline and
-``expand`` counts to its draw without building a list. Each phase sends
-one debug record to the ``pragmatune`` logger.
+replays. Playouts keep each fresh measurement's path, so transfer
+builds no space node. Within a phase, ``select`` scores children
+inline and ``expand`` counts to its draw without building a list. Each
+phase sends one debug record to the ``pragmatune`` logger.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class MctsParams:
     space: SpaceParams = field(default_factory=SpaceParams)
 
     def __post_init__(self) -> None:
+        counts = (self.per_run_budget, self.n_walks, self.no_improve_limit, self.same_config_limit)
+        if not all(isinstance(v, int) for v in counts):
+            raise TypeError("per_run_budget, n_walks and the convergence limits must be integers")
         if self.c < 0:
             raise ValueError("c must be >= 0")
         if min(self.per_run_budget, self.n_walks) < 1:
@@ -74,15 +78,17 @@ class _SpaceNodes:
 
     Keyed by (parent space node, child index), by identity; a tree asks for
     each key once. ``restart`` drops what the ended phase did not ask for.
+    ``paths`` maps each key a playout measured fresh to its child-index path.
     """
 
-    __slots__ = ("params", "root", "current", "previous")
+    __slots__ = ("params", "root", "current", "previous", "paths")
 
     def __init__(self, nest: LoopNest, params: SpaceParams):
         self.params = params
         self.root = space.root_node(nest)
         self.current: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
         self.previous: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
+        self.paths: dict[str, tuple[int, ...]] = {}
 
     def child(self, parent: space.SpaceNode, index: int) -> space.SpaceNode:
         key = (parent, index)
@@ -255,13 +261,15 @@ def _playout(
     """Measure the path's end, reward it, and backpropagate along the path.
 
     Returns what ``session.measure`` returned; None (out of budget)
-    leaves the tree untouched.
+    leaves the tree untouched. A fresh measurement stores its path.
     """
     node = path[-1]
     measured = session.measure(node.space.config, phase, target)
     if measured is None:
         return None
-    record = measured[0]
+    record, fresh = measured
+    if fresh:
+        node._nodes.paths[record.key] = tuple(n.index for n in path[1:])
     backpropagate(path, reward(record.outcome, record.h, target.f, params.reward))
     node.terminal_count += 1
     return measured
@@ -329,10 +337,10 @@ def apply_transfer(
 
     Upper-tail records get +1 along their re-created paths; lower-tail
     records surviving the penalty filter get r_penalty. ``paths`` maps
-    record keys to child-index paths; a record missing from it gets its
-    path computed once and stored, so passing the same dict to every
-    phase computes each path once per run. Only the replayed records
-    are read. Returns the upper and penalized counts.
+    record keys to child-index paths: ``search`` passes those its playouts
+    walked. A record missing from it (the root, or a hand-built history's)
+    gets its path computed once by ``child_index`` and stored. Only the
+    replayed records are read. Returns the upper and penalized counts.
     """
     if not history.ranked:
         return 0, 0
@@ -364,15 +372,15 @@ def search(
     target = TargetState(params.reward)
     session.evaluate_root(target)
     phase = 0
-    paths: dict[str, tuple[int, ...]] = {}
     nodes = _SpaceNodes(nest, params.space)
     while not session.out_of_budget():
+        session.phases = phase + 1
         nodes.restart()
         tree = SearchNode(nodes.root, None, nodes)
         if tree.n_children == 0:
             session.stop_reason = "space_exhausted"
             return
-        upper, penalized = apply_transfer(tree, session.history, params, paths)
+        upper, penalized = apply_transfer(tree, session.history, params, nodes.paths)
         evals_before, iterations_before = session.unique_evaluations, session.iterations
         d_star = learn_depth(tree, session, params, target, rng_walks, phase)
         phase_evals = session.unique_evaluations - evals_before

@@ -37,6 +37,8 @@ class RewardParams:
     monotone_target: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, int):
+            raise TypeError("m must be an integer")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not self.r_penalty < 0:

@@ -37,6 +37,8 @@ class Budget:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_unique, int) or not isinstance(self.max_iterations, int | None):
+            raise TypeError("max_unique and max_iterations must be integers")
         if self.max_unique < 0:
             raise ValueError("max_unique must be >= 0")
         if self.max_wall_clock_s <= 0:
@@ -166,6 +168,7 @@ class SearchSession:
         self.best: EvalRecord | None = None
         self.root_time: float | None = None
         self.iterations = 0
+        self.phases = 1  # phases begun: one for a baseline, set per phase by mcts
         # Why the run ended: a bound (set by ``out_of_budget``),
         # "space_exhausted" (set by the searcher), or "interrupted" or
         # "error" (set by the harness as an exception leaves the search).

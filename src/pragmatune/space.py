@@ -5,7 +5,9 @@ indexed 0..child_count-1 in a fixed order so the tree never has to be
 materialized: kinds are ordered tile < interchange < parallelize <
 unroll < reverse < pack, and within a kind children follow loop-id
 order, then parameter-list order (tile sizes outer, peel variants
-inner; full unrolling before the partial factors).
+inner; full unrolling before the partial factors). That order is
+written once, in ``child_transformation``; ``child_index`` inverts it
+by enumerating a node's children on its first call.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class SpaceParams:
     max_permutation_depth: int = 4
 
     def __post_init__(self) -> None:
+        # Exactly int: a bool would render as "True" in a pragma's sizes or factor.
+        counts = (self.d_max, self.max_permutation_depth, *self.tile_sizes, *self.unroll_factors)
+        if not all(type(v) is int for v in counts):
+            raise TypeError("d_max, max_permutation_depth, sizes and factors must be integers")
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
         if any(s < 1 for s in self.tile_sizes):
@@ -127,6 +133,7 @@ class _Census:
         "unroll_block",
         "section_sizes",
         "total",
+        "indices",
     )
 
     def __init__(self, nest: LoopNest, params: SpaceParams):
@@ -161,6 +168,7 @@ class _Census:
             sum(len(arrays) for _, arrays in self.packable),
         )
         self.total = sum(self.section_sizes)
+        self.indices: dict[Transformation, int] | None = None  # child_index's table
 
 
 def _census(node: SpaceNode, params: SpaceParams) -> _Census:
@@ -228,46 +236,15 @@ def child(node: SpaceNode, index: int, params: SpaceParams) -> SpaceNode:
 
 
 def child_index(node: SpaceNode, step: Transformation, params: SpaceParams) -> int:
-    """Inverse of child_transformation for steps this node enumerates."""
+    """Inverse of child_transformation, from a table the node's first call builds."""
     census = _census(node, params)
-    sizes = census.section_sizes
-    base = 0
+    if census.indices is None:
+        census.indices = {}
+        for index in range(census.total):
+            census.indices.setdefault(child_transformation(node, index, params), index)
     try:
-        if isinstance(step, Tile):
-            pos = census.chain_heads.index(step.nest_top)
-            return (
-                pos * census.tile_block
-                + params.tile_sizes.index(step.size) * len(params.peel_variants)
-                + params.peel_variants.index(step.peel)
-            )
-        base += sizes[0]
-        if isinstance(step, Interchange):
-            offset = 0
-            for head, perms in zip(census.chain_heads, census.chain_perms):
-                if head == step.nest_top:
-                    return base + offset + perms.index(step.permutation)
-                offset += len(perms)
-            raise ValueError
-        base += sizes[1]
-        if isinstance(step, ParallelizeThread):
-            return base + census.parallelizable.index(step.loop)
-        base += sizes[2]
-        if isinstance(step, Unroll):
-            pos = census.unrollable.index(step.loop)
-            rest = 0 if step.factor is None else 1 + params.unroll_factors.index(step.factor)
-            return base + pos * census.unroll_block + rest
-        base += sizes[3]
-        if isinstance(step, Reverse):
-            return base + census.reversible.index(step.loop)
-        base += sizes[4]
-        if isinstance(step, Pack):
-            offset = 0
-            for loop, arrays in census.packable:
-                if loop == step.loop:
-                    return base + offset + arrays.index(step.array)
-                offset += len(arrays)
-        raise ValueError
-    except ValueError:
+        return census.indices[step]
+    except (KeyError, TypeError):  # TypeError: an unhashable step is no child either
         raise ValueError(
             f"{step_key(step)} is not a child of configuration {node.key!r}"
         ) from None

@@ -526,6 +526,29 @@ class TestCli:
         assert main(["tune", "--config", str(path)]) == 2
         assert "error: 'evaluator.base_time' must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("space", "d_max", 2.5),
+            ("space", "max_permutation_depth", 2.5),
+            ("space", "tile_sizes", [2.5]),
+            ("space", "unroll_factors", [2.5]),
+            ("space", "tile_sizes", [True]),
+            ("search", "per_run_budget", 2.5),
+            ("search", "n_walks", 2.5),
+            ("search", "no_improve_limit", 2.5),
+            ("search", "same_config_limit", 2.5),
+            ("reward", "m", 2.5),
+            ("budget", "max_unique", 2.5),
+            ("budget", "max_iterations", 2.5),
+        ],
+    )
+    def test_a_non_integer_count_exits_with_two(self, experiment_dir, capsys, section, key, value):
+        path = write_experiment(experiment_dir, **{section: {key: value}})
+        assert main(["tune", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad '{section}' section: ") and "integer" in err
+
     def test_bad_report_input_exits_with_two(self, experiment_dir, capsys):
         out = experiment_dir / "run"
         main(["tune", "--config", str(write_experiment(experiment_dir)), "--out", str(out)])

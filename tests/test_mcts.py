@@ -23,7 +23,16 @@ from pragmatune.evaluators import (
     SyntheticLandscape,
     Time,
 )
-from pragmatune.loops import Configuration, Interchange, Loop, LoopNest, Reverse, Tile, Unroll
+from pragmatune.loops import (
+    Configuration,
+    Interchange,
+    Loop,
+    LoopNest,
+    Reverse,
+    Tile,
+    Unroll,
+    load_loop_nest,
+)
 from pragmatune.mcts import (
     IterationLog,
     MctsParams,
@@ -562,12 +571,54 @@ class TestLazyTree:
         for key, built in census_phases.items():
             assert all(later - earlier > 1 for earlier, later in zip(built, built[1:])), key
 
-        # Each replayed record's path is computed once per run, one
-        # child_index per step, and reused by every later phase.
-        keys = [c.key for c in index_paths]
-        assert len(keys) == len(set(keys))
-        assert len(child_index_calls) == sum(c.depth for c in index_paths)
-        assert len(reinforced) > 2 * len(keys)
+        # A replayed record's path is the one its playout walked: no path
+        # is computed for a non-root record, and every later phase reuses it.
+        assert [c.key for c in index_paths] == [""]
+        assert child_index_calls == []
+        assert len(reinforced) > 2 * len(set(reinforced))
+
+    def test_transfer_in_a_search_builds_no_space_node(self, monkeypatch):
+        index_paths = []
+        child_index_calls = []
+        transfer_censuses = []
+        transferring = False
+
+        class CountingCensus(space._Census):
+            __slots__ = ()
+
+            def __init__(self, nest, params):
+                if transferring:
+                    transfer_censuses.append(nest)
+                super().__init__(nest, params)
+
+        def tracking_transfer(*args, apply_transfer=mcts.apply_transfer):
+            nonlocal transferring
+            transferring = True
+            try:
+                return apply_transfer(*args)
+            finally:
+                transferring = False
+
+        def recording_index_path(tree, config, params, index_path=mcts._index_path):
+            index_paths.append(config)
+            return index_path(tree, config, params)
+
+        def counting_child_index(node, step, params, child_index=space.child_index):
+            child_index_calls.append(step)
+            return child_index(node, step, params)
+
+        monkeypatch.setattr(space, "_Census", CountingCensus)
+        monkeypatch.setattr(space, "child_index", counting_child_index)
+        monkeypatch.setattr(mcts, "apply_transfer", tracking_transfer)
+        monkeypatch.setattr(mcts, "_index_path", recording_index_path)
+
+        session = make_session(SyntheticLandscape(seed=1), max_unique=600, max_iterations=60000)
+        params = MctsParams(per_run_budget=60, n_walks=10)
+        search(session, params, load_loop_nest(CHAIN3_NEST), random.Random(1), random.Random(2))
+        assert max(r.phase for r in session.records) >= 4
+        assert child_index_calls == []
+        assert [c.key for c in index_paths] == [""]  # the root's empty path, once
+        assert transfer_censuses == []
 
     def test_a_space_node_no_phase_asks_for_is_dropped_after_the_next_restart(self):
         nodes = mcts._SpaceNodes(chain_nest(2), SMALL_SPACE)
@@ -753,3 +804,18 @@ class TestPhaseEnd:
             assert all(p["iterations"] >= cap for p in phases[:-1])
         if reason != "per_run_budget":  # that run's last phase fills both budgets at once
             assert ended[-1] == "global_budget"
+
+    def test_the_summary_counts_a_phase_that_measures_nothing_fresh(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="pragmatune")
+        config = ExperimentConfig(
+            nest_text='{"loops": [{"id": "i"}]}',
+            method="mcts",
+            seed=1,
+            budget=Budget(max_iterations=20000),
+            space=REPRO_SPACE,
+        )
+        summary = run_experiment(config)
+        phases = [r.args for r in caplog.records if r.funcName == "search"]
+        # Most of the repro's phases find its 15 configurations all measured.
+        assert len({r.phase for r in summary.records}) < len(phases)
+        assert summary.phases == len(phases)

@@ -8,12 +8,14 @@ must satisfy, whichever bound stops it.
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragmatune.evaluators import CachedEvaluator, SyntheticLandscape
 from pragmatune.harness import METHODS, ExperimentConfig
+from pragmatune import mcts
 from pragmatune.mcts import MctsParams
 from pragmatune.reports import read_log, write_log
 from pragmatune.session import Budget, SearchSession, SimulatedClock
@@ -45,7 +47,12 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
         SimulatedClock(),
         method=method,
     )
-    with consistent_playouts() as playouts:  # mcts: the visit identity after every playout
+    space_nodes = []  # mcts: the run's space nodes, which keep the paths its playouts walked
+    restart = mcts._SpaceNodes.restart
+    # mcts: the visit identity after every playout
+    with consistent_playouts() as playouts, mock.patch.object(
+        mcts._SpaceNodes, "restart", lambda nodes: space_nodes.append(nodes) or restart(nodes)
+    ):
         METHODS[method](session, nest, config)
     records = session.records
 
@@ -67,11 +74,15 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
     assert session.best.h == best
 
     start = root_node(nest)
+    walked = space_nodes[0].paths if space_nodes else None
     for record in records:
-        node = start
+        node, indices = start, []
         for step in record.config.steps:
-            node = child(node, child_index(node, step, space_params), space_params)
+            indices.append(child_index(node, step, space_params))
+            node = child(node, indices[-1], space_params)
         assert node.key == record.key
+        if walked is not None and record.iteration > 0:  # mcts: not the root
+            assert walked[record.key] == tuple(indices)
 
     with tempfile.TemporaryDirectory() as directory:
         first, second = Path(directory, "first.jsonl"), Path(directory, "second.jsonl")
