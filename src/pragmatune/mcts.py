@@ -9,13 +9,14 @@ history survives restarts; the tree does not, but the space nodes the
 last phase built (and their censuses) are handed to the next tree.
 
 A restart pays for the tails it replays, not for the whole history: the
-session keeps its records ranked as they arrive (``RankedHistory``), so
+search keeps its records ranked as they arrive (``RankedHistory``), so
 the split reads two ranks, and the penalty filter compares
 pragma-identity bitmasks, so a restart reads only the records it
-replays. Playouts keep each fresh measurement's path, so transfer
-builds no space node. Within a phase, ``select`` scores children
-inline and ``expand`` counts to its draw without building a list. Each
-phase sends one debug record to the ``pragmatune`` logger.
+replays. Each history entry carries the child-index path its playout
+walked, so transfer builds no space node. Within a phase, ``select``
+scores children inline and ``expand`` counts to its draw without
+building a list. Each phase sends one debug record to the
+``pragmatune`` logger.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import space
-from .loops import Configuration, LoopNest
+from .loops import LoopNest
 from .reward import (
     RankedHistory,
     RewardParams,
@@ -78,17 +79,18 @@ class _SpaceNodes:
 
     Keyed by (parent space node, child index), by identity; a tree asks for
     each key once. ``restart`` drops what the ended phase did not ask for.
-    ``paths`` maps each key a playout measured fresh to its child-index path.
+    ``history`` is the run's history: the root record, then every record a
+    playout measured fresh, each with the child-index path it walked.
     """
 
-    __slots__ = ("params", "root", "current", "previous", "paths")
+    __slots__ = ("params", "root", "current", "previous", "history")
 
     def __init__(self, nest: LoopNest, params: SpaceParams):
         self.params = params
         self.root = space.root_node(nest)
         self.current: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
         self.previous: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
-        self.paths: dict[str, tuple[int, ...]] = {}
+        self.history = RankedHistory()
 
     def child(self, parent: space.SpaceNode, index: int) -> space.SpaceNode:
         key = (parent, index)
@@ -261,7 +263,7 @@ def _playout(
     """Measure the path's end, reward it, and backpropagate along the path.
 
     Returns what ``session.measure`` returned; None (out of budget)
-    leaves the tree untouched. A fresh measurement stores its path.
+    leaves the tree untouched. A fresh record enters the history with its path.
     """
     node = path[-1]
     measured = session.measure(node.space.config, phase, target)
@@ -269,7 +271,7 @@ def _playout(
         return None
     record, fresh = measured
     if fresh:
-        node._nodes.paths[record.key] = tuple(n.index for n in path[1:])
+        node._nodes.history.add(record, tuple(n.index for n in path[1:]))
     backpropagate(path, reward(record.outcome, record.h, target.f, params.reward))
     node.terminal_count += 1
     return measured
@@ -304,56 +306,30 @@ def learn_depth(
     return d_star
 
 
-def _index_path(tree: SearchNode, config: Configuration, params: MctsParams) -> tuple[int, ...]:
-    """Child indices leading from the root to ``config``, building the nodes on the way."""
-    indices = []
-    node = tree
-    for step in config.steps:
-        index = space.child_index(node.space, step, params.space)
-        indices.append(index)
-        node = _get_or_create(node, index)
-    return tuple(indices)
-
-
 def _reinforce(tree: SearchNode, indices: tuple[int, ...], value: float) -> None:
-    """Backpropagate ``value`` along a stored path, creating its nodes unbuilt."""
-    node = tree
-    node.visits += 1
-    node.total_reward += value
+    """Backpropagate ``value`` along a stored path like a playout, creating nodes unbuilt."""
+    path = [tree]
     for index in indices:
-        node = _get_or_create(node, index)
-        node.visits += 1
-        node.total_reward += value
-    node.terminal_count += 1
+        path.append(_get_or_create(path[-1], index))
+    backpropagate(path, value)
+    path[-1].terminal_count += 1
 
 
-def apply_transfer(
-    tree: SearchNode,
-    history: RankedHistory,
-    params: MctsParams,
-    paths: dict[str, tuple[int, ...]] | None = None,
-) -> tuple[int, int]:
+def apply_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams) -> tuple[int, int]:
     """Replay history quantiles onto a fresh tree without evaluating.
 
-    Upper-tail records get +1 along their re-created paths; lower-tail
-    records surviving the penalty filter get r_penalty. ``paths`` maps
-    record keys to child-index paths: ``search`` passes those its playouts
-    walked. A record missing from it (the root, or a hand-built history's)
-    gets its path computed once by ``child_index`` and stored. Only the
-    replayed records are read. Returns the upper and penalized counts.
+    Upper-tail records get +1 along their paths; lower-tail records
+    surviving the penalty filter get r_penalty. Each path is the one its
+    history entry carries, so no record's steps are read. Returns the
+    upper and penalized counts.
     """
     if not history.ranked:
         return 0, 0
-    if paths is None:
-        paths = {}
     lower, upper = quantile_split(history, params.reward.alpha)
     penalized = penalty_filter(lower, upper)
     for entries, value in ((upper, 1.0), (penalized, params.reward.r_penalty)):
-        for _, _, record in entries:
-            indices = paths.get(record.key)
-            if indices is None:
-                indices = paths[record.key] = _index_path(tree, record.config, params)
-            _reinforce(tree, indices, value)
+        for _, _, _, path in entries:
+            _reinforce(tree, path, value)
     return len(upper), len(penalized)
 
 
@@ -366,13 +342,14 @@ def search(
 ) -> None:
     """Run the full phased search until the global budget is spent.
 
-    The root is measured first; its failure is fatal. A root with no
-    children ends the run as ``space_exhausted``.
+    The root is measured first and enters the history with the empty
+    path; its failure is fatal. A root with no children ends the run as
+    ``space_exhausted``.
     """
     target = TargetState(params.reward)
-    session.evaluate_root(target)
-    phase = 0
     nodes = _SpaceNodes(nest, params.space)
+    nodes.history.add(session.evaluate_root(target), ())
+    phase = 0
     while not session.out_of_budget():
         session.phases = phase + 1
         nodes.restart()
@@ -380,7 +357,7 @@ def search(
         if tree.n_children == 0:
             session.stop_reason = "space_exhausted"
             return
-        upper, penalized = apply_transfer(tree, session.history, params, nodes.paths)
+        upper, penalized = apply_transfer(tree, nodes.history, params)
         evals_before, iterations_before = session.unique_evaluations, session.iterations
         d_star = learn_depth(tree, session, params, target, rng_walks, phase)
         phase_evals = session.unique_evaluations - evals_before

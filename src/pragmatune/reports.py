@@ -12,7 +12,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import LogParseError
+from .errors import EmptyHistoryError, LogParseError
 from .session import EvalRecord, record_from_dict
 
 
@@ -71,7 +71,7 @@ def emit_trajectory(records: list[EvalRecord]) -> str:
 def top_cutoff(values: list[float], fraction: float) -> float:
     """Smallest value of the nearest-rank top ``fraction`` tail."""
     if not values:
-        raise ValueError("no values to pool")
+        raise EmptyHistoryError("no successful evaluation to pool")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     ordered = sorted(values)

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from statistics import fmean
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import EmptyHistoryError
 from .evaluators import Outcome
@@ -16,8 +16,8 @@ from .loops import pragma_identity
 if TYPE_CHECKING:
     from .session import EvalRecord
 
-# (arrival, pragma-identity mask, record): see RankedHistory.
-HistoryEntry = tuple[int, int, "EvalRecord"]
+# (arrival, pragma-identity mask, record, child-index path): see RankedHistory.
+HistoryEntry = tuple[int, int, "EvalRecord", tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -93,30 +93,29 @@ class RankedHistory:
     """The evaluation records, kept ranked by speedup as they arrive.
 
     Successes sit in one list of ``(h, arrival)`` pairs in rank order.
-    Each record also has a history entry ``(arrival, mask, record)``,
-    where ``mask`` holds one bit per distinct pragma identity of the
+    Each record also has a history entry ``(arrival, mask, record,
+    path)``: ``mask`` holds one bit per distinct pragma identity of the
     record's steps, bits numbered as the history first meets each
-    identity (a root record's mask is 0). A session's arrival order is
-    its records' ``iteration``. Masks are computed by ``entries``, once
+    identity (a root record's mask is 0), and ``path`` is the child-index
+    path ``add`` was given with the record. In a search, arrival order is
+    the records' ``iteration``. Masks are computed by ``entries``, once
     per record, for the records that arrived since its last call, so a
     history that is never split never computes one.
     """
 
     __slots__ = ("ranked", "_failed", "_records", "_entries", "_bits")
 
-    def __init__(self, records: Iterable[EvalRecord] = ()):
+    def __init__(self) -> None:
         self.ranked: list[tuple[float, int]] = []
         self._failed: list[HistoryEntry] = []  # in arrival order
-        self._records: list[EvalRecord] = []
+        self._records: list[tuple[EvalRecord, tuple[int, ...]]] = []
         self._entries: list[HistoryEntry] = []
         self._bits: dict[tuple, int] = {}
-        for record in records:
-            self.add(record)
 
-    def add(self, record: EvalRecord) -> None:
+    def add(self, record: EvalRecord, path: tuple[int, ...]) -> None:
         if record.h is not None:
             insort(self.ranked, (record.h, len(self._records)))
-        self._records.append(record)
+        self._records.append((record, path))
 
     def entries(self) -> list[HistoryEntry]:
         """Every record's entry, in arrival order.
@@ -125,7 +124,7 @@ class RankedHistory:
         (one read back from a log).
         """
         entries, bits = self._entries, self._bits
-        for record in self._records[len(entries):]:
+        for record, path in self._records[len(entries):]:
             mask = 0
             for step in record.config.steps:
                 identity = pragma_identity(step)
@@ -133,7 +132,7 @@ class RankedHistory:
                 if bit is None:
                     bit = bits[identity] = 1 << len(bits)
                 mask |= bit
-            entry = (len(entries), mask, record)
+            entry = (len(entries), mask, record, path)
             entries.append(entry)
             if record.h is None:
                 self._failed.append(entry)
@@ -174,6 +173,6 @@ def penalty_filter(
     entry. Reads masks only, never a record.
     """
     shared = 0
-    for _, mask, _ in upper:
+    for _, mask, _, _ in upper:
         shared |= mask
     return [entry for entry in lower if entry[1] and not entry[1] & shared]

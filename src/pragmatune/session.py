@@ -3,9 +3,10 @@
 Every searcher drives a SearchSession: it owns the evaluation cache,
 spends the global budget (each ``measure`` is one iteration, refused
 once a bound trips), tracks the best configuration, keeps one
-EvalRecord per fresh evaluation, which is both the search history and
-one line of the run log (cache hits produce nothing), and records why
-the run stopped. Searchers return nothing: the session is the result.
+EvalRecord per fresh evaluation, each one line of the run log (cache
+hits produce nothing), and records why the run stopped. Ranking the
+records for history transfer is left to the searcher that transfers.
+Searchers return nothing: the session is the result.
 The root baseline is measured once per run and does not consume budget.
 """
 
@@ -19,7 +20,7 @@ from .errors import RootEvaluationError
 from .evaluators import CachedEvaluator, CompileFailure, Outcome, RunFailure, Time
 from .loops import Configuration
 from .rendering import pragma_lines
-from .reward import RankedHistory, TargetState, speedup
+from .reward import TargetState, speedup
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,6 @@ class SearchSession:
         # Key -> record in measurement order, the root first; cache hits
         # look their record up here instead of building a new one.
         self._by_key: dict[str, EvalRecord] = {}
-        self.history = RankedHistory()
         self.best: EvalRecord | None = None
         self.root_time: float | None = None
         self.iterations = 0
@@ -270,7 +270,6 @@ class SearchSession:
             config=config,
         )
         self._by_key[record.key] = record
-        self.history.add(record)
         if improved:
             self.best = record
         if self._sink is not None:

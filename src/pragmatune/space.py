@@ -52,14 +52,18 @@ class SpaceParams:
         counts = (self.d_max, self.max_permutation_depth, *self.tile_sizes, *self.unroll_factors)
         if not all(type(v) is int for v in counts):
             raise TypeError("d_max, max_permutation_depth, sizes and factors must be integers")
+        if not all(type(v) is bool for v in self.peel_variants):
+            raise TypeError("peel_variants must be booleans")
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
         if any(s < 1 for s in self.tile_sizes):
             raise ValueError("tile sizes must be positive")
         if any(f < 2 for f in self.unroll_factors):
             raise ValueError("unroll factors must be >= 2")
-        if not self.peel_variants or len(set(self.peel_variants)) != len(self.peel_variants):
-            raise ValueError("peel_variants must be a non-empty set of booleans")
+        # A repeated value would enumerate one step under two child indices.
+        lists = (self.tile_sizes, self.unroll_factors, self.peel_variants)
+        if not self.peel_variants or any(len(set(v)) != len(v) for v in lists):
+            raise ValueError("peel_variants must be non-empty, and no size, factor or peel repeats")
         if self.max_permutation_depth < 2:
             raise ValueError("max_permutation_depth must be >= 2")
 

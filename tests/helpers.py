@@ -5,8 +5,9 @@ chain detection, cross products over parameters, validity proven by
 applying every candidate) so the sparse index arithmetic in
 pragmatune.space is checked against something that cannot share its
 bugs. ``uct_score`` is the reference definition of the score
-``mcts.select`` computes inline, and ``consistent_playouts`` checks the
-tree's visit identity after every playout of a search.
+``mcts.select`` computes inline, ``index_path`` the reference for the
+path a playout records, and ``consistent_playouts`` checks the tree's
+visit identity after every playout of a search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 from itertools import permutations
 from unittest import mock
 
-from pragmatune import mcts
+from pragmatune import mcts, space
 from pragmatune.loops import (
     Configuration,
     Interchange,
@@ -32,6 +33,7 @@ from pragmatune.loops import (
 )
 from pragmatune.mcts import MctsParams, SearchNode, _SpaceNodes
 from pragmatune.rendering import pragma_lines
+from pragmatune.reward import RankedHistory
 from pragmatune.session import EvalRecord
 from pragmatune.space import SpaceParams
 
@@ -176,7 +178,30 @@ def eval_record(config: Configuration, outcome, h, iteration: int, phase: int) -
 
 def entry_records(entries) -> list[EvalRecord]:
     """The records of ``RankedHistory`` entries, in their order."""
-    return [record for _, _, record in entries]
+    return [entry[2] for entry in entries]
+
+
+def index_path(nest: LoopNest, config: Configuration, params: SpaceParams) -> tuple[int, ...]:
+    """Child indices leading from ``nest``'s root to ``config``, by ``child_index``."""
+    node, indices = space.root_node(nest), []
+    for step in config.steps:
+        indices.append(space.child_index(node, step, params))
+        node = space.child(node, indices[-1], params)
+    return tuple(indices)
+
+
+def ranked_history(
+    records, nest: LoopNest | None = None, params: SpaceParams | None = None
+) -> RankedHistory:
+    """``records`` added in order to a ``RankedHistory``, as ``mcts.search`` adds them.
+
+    Given a nest, each record's path is its ``index_path``; without one
+    every path is ``()``, for splits and filters, which never read paths.
+    """
+    history = RankedHistory()
+    for record in records:
+        history.add(record, () if nest is None else index_path(nest, record.config, params))
+    return history
 
 
 def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:

@@ -43,7 +43,6 @@ from pragmatune.mcts import (
 )
 from pragmatune.rendering import render_pragmas
 from pragmatune.reward import (
-    RankedHistory,
     RewardParams,
     penalty_filter,
     quantile_split,
@@ -68,6 +67,7 @@ from helpers import (
     oracle_children,
     random_nest,
     random_params,
+    ranked_history,
     uct_score,
 )
 
@@ -407,15 +407,15 @@ def test_criterion_09_history_transfer_without_evaluation():
         history = [root_rec, upper_rec, slow_rec] + fillers
         assert len(history) == 19
 
-        lower, upper = quantile_split(RankedHistory(history), params.reward.alpha)
+        lower, upper = quantile_split(ranked_history(history), params.reward.alpha)
         assert [r.h for r in entry_records(lower)] == [0.5]  # single minimum
         assert [r.h for r in entry_records(upper)] == [20.0]  # single maximum
 
         # With the root as the unique minimum it reaches the lower tail
         # but is exempt from penalties.
         no_slow = [root_rec, upper_rec] + fillers
-        lower2, upper2 = quantile_split(RankedHistory(no_slow), params.reward.alpha)
-        assert lower2 == [(0, 0, root_rec)]  # the root's identity mask is empty
+        lower2, upper2 = quantile_split(ranked_history(no_slow), params.reward.alpha)
+        assert lower2 == [(0, 0, root_rec, ())]  # the root's identity mask is empty
         assert penalty_filter(lower2, upper2) == []
 
         calls = 0
@@ -427,7 +427,7 @@ def test_criterion_09_history_transfer_without_evaluation():
 
         cache = CachedEvaluator(counting_evaluator)
         tree = make_root(nest, params)
-        apply_transfer(tree, RankedHistory(history), params)
+        apply_transfer(tree, ranked_history(history, nest, params.space), params)
         assert calls == 0 and cache.unique_count == 0
 
         by_key = {c.space.key: c for c in tree.children.values()}

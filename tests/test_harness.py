@@ -549,6 +549,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad '{section}' section: ") and "integer" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tile_sizes", [2, 2]),
+            ("unroll_factors", [4, 4]),
+            ("peel_variants", ["no"]),
+            ("peel_variants", [0]),
+        ],
+    )
+    def test_a_repeated_or_non_boolean_space_value_exits_with_two(
+        self, experiment_dir, capsys, key, value
+    ):
+        path = write_experiment(experiment_dir, space={key: value})
+        assert main(["tune", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad 'space' section: ")
+
+    def test_a_cutoff_over_no_successful_record_exits_with_two(self, experiment_dir, capsys):
+        empty = experiment_dir / "empty.jsonl"
+        empty.write_text("")
+        assert main(["report", "cutoff", "--log", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_report_input_exits_with_two(self, experiment_dir, capsys):
         out = experiment_dir / "run"
         main(["tune", "--config", str(write_experiment(experiment_dir)), "--out", str(out)])

@@ -45,7 +45,7 @@ from pragmatune.mcts import (
     search,
     select,
 )
-from pragmatune.reward import RankedHistory, RewardParams, TargetState
+from pragmatune.reward import RewardParams, TargetState
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import SpaceParams
 
@@ -58,6 +58,7 @@ from helpers import (
     make_root,
     random_nest,
     random_params,
+    ranked_history,
     uct_score,
 )
 from test_pinned_logs import CHAIN3_NEST, PINNED_RESTARTS
@@ -389,7 +390,8 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        assert apply_transfer(tree, RankedHistory(history), params) == (1, 1)
+        history = ranked_history(history, chain_nest(1), params.space)
+        assert apply_transfer(tree, history, params) == (1, 1)
         assert_consistent(tree)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["reverse(i0)"].total_reward == 1.0
@@ -407,7 +409,7 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        apply_transfer(tree, RankedHistory(history), params)
+        apply_transfer(tree, ranked_history(history, chain_nest(1), params.space), params)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["unroll(i0;2)"].total_reward >= 1.0  # prefix of the upper path
         assert all(c.total_reward >= 0.0 for c in tree.children.values())
@@ -415,7 +417,8 @@ class TestApplyTransfer:
     def test_root_only_history_touches_only_the_tree_root(self):
         params = small_params()
         tree = make_root(chain_nest(1), params)
-        apply_transfer(tree, RankedHistory(history_from([])), params)
+        history = ranked_history(history_from([]), chain_nest(1), params.space)
+        apply_transfer(tree, history, params)
         assert tree.visits == 1 and tree.children == {}
 
     def test_no_successes_means_no_transfer(self):
@@ -424,7 +427,8 @@ class TestApplyTransfer:
         failures = [
             eval_record(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
         ]
-        assert apply_transfer(tree, RankedHistory(failures), params) == (0, 0)
+        history = ranked_history(failures, chain_nest(1), params.space)
+        assert apply_transfer(tree, history, params) == (0, 0)
         assert tree.visits == 0 and tree.children == {}
 
     def test_transfer_never_calls_the_evaluator(self):
@@ -436,7 +440,8 @@ class TestApplyTransfer:
             session.measure(Configuration(tuple(steps)), phase=0)
         calls_before = len(calls)
         tree = make_root(chain_nest(1), params)
-        apply_transfer(tree, session.history, params)
+        history = ranked_history(session.records, chain_nest(1), params.space)
+        apply_transfer(tree, history, params)
         assert len(calls) == calls_before
         assert tree.visits > 0  # the replayed paths really landed
 
@@ -462,13 +467,13 @@ def assert_children_extend_their_parent(node, params):
 class TestLazyTree:
     def test_a_dropped_tree_leaves_no_garbage_cycle(self):
         params = small_params(reward=RewardParams(alpha=0.4))
-        history = history_from(DEEP_HISTORY)
+        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), params.space)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
             tree = make_root(chain_nest(2), params)
-            apply_transfer(tree, RankedHistory(history), params)
+            apply_transfer(tree, history, params)
             rng = random.Random(0)
             for _ in range(3):
                 expand(tree, rng).space
@@ -481,27 +486,22 @@ class TestLazyTree:
 
     def test_replayed_nodes_build_their_records_prefixes(self):
         params = small_params(reward=RewardParams(alpha=0.4))
-        history = history_from(DEEP_HISTORY)
-        paths = {}
-        apply_transfer(make_root(chain_nest(2), params), RankedHistory(history), params, paths)
-        assert {r.key for r in history[1:]} <= set(paths)
-        # The second tree replays every record from the stored paths alone.
+        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), params.space)
         tree = make_root(chain_nest(2), params)
-        apply_transfer(tree, RankedHistory(history), params, paths)
-        for record in history[1:]:
+        # Every non-root record is replayed, from the path its entry carries.
+        assert apply_transfer(tree, history, params) == (2, 2)
+        for _, _, record, path in history.entries()[1:]:
             node = tree
-            for depth, step in enumerate(record.config.steps, start=1):
-                index = space.child_index(node.space, step, params.space)
-                assert index == paths[record.key][depth - 1]
+            for depth, index in enumerate(path, start=1):
                 node = node.children[index]
                 assert node.space.config == Configuration(record.config.steps[:depth])
+            assert node.space.key == record.key
         assert_consistent(tree)
         assert_children_extend_their_parent(tree, params)
 
     def test_restart_run_builds_each_node_state_once(self, monkeypatch):
         census_nests = []
         apply_calls = []
-        index_paths = []
         child_index_calls = []
         reinforced = []
 
@@ -515,10 +515,6 @@ class TestLazyTree:
         def counting_apply(nest, step, apply=space.apply):
             apply_calls.append(step)
             return apply(nest, step)
-
-        def recording_index_path(tree, config, params, index_path=mcts._index_path):
-            index_paths.append(config)
-            return index_path(tree, config, params)
 
         def counting_child_index(node, step, params, child_index=space.child_index):
             child_index_calls.append(step)
@@ -545,7 +541,6 @@ class TestLazyTree:
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "apply", counting_apply)
         monkeypatch.setattr(space, "child_index", counting_child_index)
-        monkeypatch.setattr(mcts, "_index_path", recording_index_path)
         monkeypatch.setattr(mcts, "_reinforce", counting_reinforce)
 
         nest = chain_nest(3, arrays=("A", "B"))
@@ -571,14 +566,12 @@ class TestLazyTree:
         for key, built in census_phases.items():
             assert all(later - earlier > 1 for earlier, later in zip(built, built[1:])), key
 
-        # A replayed record's path is the one its playout walked: no path
-        # is computed for a non-root record, and every later phase reuses it.
-        assert [c.key for c in index_paths] == [""]
+        # A replayed record's path is the one its history entry carries (the
+        # root's is empty): no path is computed, and every later phase reuses it.
         assert child_index_calls == []
         assert len(reinforced) > 2 * len(set(reinforced))
 
     def test_transfer_in_a_search_builds_no_space_node(self, monkeypatch):
-        index_paths = []
         child_index_calls = []
         transfer_censuses = []
         transferring = False
@@ -599,10 +592,6 @@ class TestLazyTree:
             finally:
                 transferring = False
 
-        def recording_index_path(tree, config, params, index_path=mcts._index_path):
-            index_paths.append(config)
-            return index_path(tree, config, params)
-
         def counting_child_index(node, step, params, child_index=space.child_index):
             child_index_calls.append(step)
             return child_index(node, step, params)
@@ -610,14 +599,12 @@ class TestLazyTree:
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "child_index", counting_child_index)
         monkeypatch.setattr(mcts, "apply_transfer", tracking_transfer)
-        monkeypatch.setattr(mcts, "_index_path", recording_index_path)
 
         session = make_session(SyntheticLandscape(seed=1), max_unique=600, max_iterations=60000)
         params = MctsParams(per_run_budget=60, n_walks=10)
         search(session, params, load_loop_nest(CHAIN3_NEST), random.Random(1), random.Random(2))
         assert max(r.phase for r in session.records) >= 4
         assert child_index_calls == []
-        assert [c.key for c in index_paths] == [""]  # the root's empty path, once
         assert transfer_censuses == []
 
     def test_a_space_node_no_phase_asks_for_is_dropped_after_the_next_restart(self):

@@ -29,7 +29,7 @@ from pragmatune.reward import (
     tail_rank,
 )
 
-from helpers import entry_records, eval_record
+from helpers import entry_records, eval_record, ranked_history
 
 # The package exports the ``reward`` function under the module's name.
 reward_module = importlib.import_module("pragmatune.reward")
@@ -148,21 +148,28 @@ class TestHistoryMasks:
         a = rec(2.0, [Tile("i", 32, False), Reverse("i.t")])
         b = rec(3.0, [Tile("q.f", 32, False), Reverse("zz")])
         c = rec(4.0, [Tile("i", 32, True)])
-        root, ea, eb, ec = RankedHistory([rec(1.0), a, b, c]).entries()
+        root, ea, eb, ec = ranked_history([rec(1.0), a, b, c]).entries()
         assert root[:2] == (0, 0)
         assert ea[1] == eb[1] == 0b11  # one bit per identity, numbered on first sight
         assert ec[1] == 0b100
+
+    def test_an_entry_carries_the_path_it_was_added_with(self):
+        root, fast = rec(1.0), rec(2.0, [Reverse("i")], iteration=1)
+        history = RankedHistory()
+        history.add(root, ())
+        history.add(fast, (3,))
+        assert history.entries() == [(0, 0, root, ()), (1, 0b1, fast, (3,))]
 
     def test_each_mask_is_computed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             reward_module, "pragma_identity", lambda s: calls.append(s) or pragma_identity(s)
         )
-        history = RankedHistory([rec(1.0), rec(2.0, [Reverse("i"), Unroll("i", 2)])])
+        history = ranked_history([rec(1.0), rec(2.0, [Reverse("i"), Unroll("i", 2)])])
         assert calls == []  # adding computes no mask
         first = history.entries()
         assert len(calls) == 2
-        history.add(rec(None, [Reverse("j")], iteration=2))
+        history.add(rec(None, [Reverse("j")], iteration=2), ())
         second = history.entries()
         assert len(calls) == 3
         assert second[:2] == first[:2] and second[2][1] == 0b1  # reverse's bit
@@ -188,32 +195,32 @@ class TestTailRank:
 class TestQuantileSplit:
     def test_twenty_distinct_values_give_single_min_and_max(self):
         history = [rec(float(h), [Unroll("i", None)]) for h in range(1, 21)]
-        lower, upper = quantile_split(RankedHistory(history), 0.05)
+        lower, upper = quantile_split(ranked_history(history), 0.05)
         assert [r.h for r in entry_records(lower)] == [1.0]
         assert [r.h for r in entry_records(upper)] == [20.0]
-        assert [a for a, _, _ in lower + upper] == [0, 19]
+        assert [entry[0] for entry in lower + upper] == [0, 19]
 
     def test_ties_widen_the_tail(self):
         history = [rec(h, [Reverse("i")]) for h in (1.0, 1.0, 2.0, 3.0)]
-        lower, upper = quantile_split(RankedHistory(history), 0.25)
+        lower, upper = quantile_split(ranked_history(history), 0.25)
         assert [r.h for r in entry_records(lower)] == [1.0, 1.0]
         assert [r.h for r in entry_records(upper)] == [3.0]
 
     def test_failures_always_in_lower(self):
         history = [rec(None), rec(4.0), rec(1.0), rec(None), rec(2.0), rec(3.0)]
-        lower, upper = quantile_split(RankedHistory(history), 0.25)
+        lower, upper = quantile_split(ranked_history(history), 0.25)
         assert [r.h for r in entry_records(lower)] == [None, 1.0, None]
         assert [r.h for r in entry_records(upper)] == [4.0]
-        assert [a for a, _, _ in lower] == [0, 2, 3]
+        assert [entry[0] for entry in lower] == [0, 2, 3]
 
     def test_single_success_lands_in_both_tails(self):
         history = [rec(2.0)]
-        lower, upper = quantile_split(RankedHistory(history), 0.05)
+        lower, upper = quantile_split(ranked_history(history), 0.05)
         assert entry_records(lower) == history and entry_records(upper) == history
 
     def test_no_success_raises(self):
         with pytest.raises(EmptyHistoryError):
-            quantile_split(RankedHistory([rec(None), rec(None)]), 0.05)
+            quantile_split(ranked_history([rec(None), rec(None)]), 0.05)
 
     @given(
         st.lists(
@@ -223,7 +230,7 @@ class TestQuantileSplit:
     )
     def test_tail_properties(self, hs, alpha):
         history = [rec(h) for h in hs]
-        lower, upper = quantile_split(RankedHistory(history), alpha)
+        lower, upper = quantile_split(ranked_history(history), alpha)
         lower, upper = entry_records(lower), entry_records(upper)
         successes = [r for r in history if r.h is not None]
         best = max(r.h for r in successes)
@@ -249,7 +256,7 @@ class TestQuantileSplit:
     def test_equals_the_sort_based_definition(self, hs, alpha):
         # The root (h = 1.0, no steps) comes first, as in a session.
         history = [rec(1.0)] + [rec(h, [Reverse("i")], k) for k, h in enumerate(hs, start=1)]
-        lower, upper = quantile_split(RankedHistory(history), alpha)
+        lower, upper = quantile_split(ranked_history(history), alpha)
         expected_lower, expected_upper = sorted_split(history, alpha)
         assert [id(r) for r in entry_records(lower)] == [id(r) for r in expected_lower]
         assert [id(r) for r in entry_records(upper)] == [id(r) for r in expected_upper]
@@ -277,7 +284,7 @@ def identity_filter(lower, upper):
 
 def split_entries(lower, upper):
     """Entries of ``lower`` and ``upper`` records, masked by one history."""
-    entries = RankedHistory(lower + upper).entries()
+    entries = ranked_history(lower + upper).entries()
     return entries[: len(lower)], entries[len(lower) :]
 
 
@@ -349,11 +356,11 @@ class TestMaskedTransferEqualsItsDefinition:
         # history is split again wherever a draw says so, so masks are
         # computed across several calls.
         history = [rec(1.0)]
-        ranked = RankedHistory(history)
+        ranked = ranked_history(history)
         for k, (h, steps, split_here) in enumerate(draws + [(None, [Reverse("i")], True)], start=1):
             record = rec(h, steps, k)
             history.append(record)
-            ranked.add(record)
+            ranked.add(record, ())
             if not split_here:
                 continue
             lower, upper = quantile_split(ranked, alpha)

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,11 @@ from pragmatune.harness import METHODS, ExperimentConfig
 from pragmatune import mcts
 from pragmatune.mcts import MctsParams
 from pragmatune.reports import read_log, write_log
+from pragmatune.reward import RankedHistory
 from pragmatune.session import Budget, SearchSession, SimulatedClock
 from pragmatune.space import child, child_index, root_node
 
-from helpers import consistent_playouts, random_nest, random_params
+from helpers import chain_nest, consistent_playouts, random_nest, random_params
 
 
 @settings(max_examples=120, deadline=None)
@@ -47,11 +49,11 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
         SimulatedClock(),
         method=method,
     )
-    space_nodes = []  # mcts: the run's space nodes, which keep the paths its playouts walked
-    restart = mcts._SpaceNodes.restart
+    space_nodes = []  # mcts: the run's space nodes, which keep its history
+    make_nodes = mcts._SpaceNodes
     # mcts: the visit identity after every playout
     with consistent_playouts() as playouts, mock.patch.object(
-        mcts._SpaceNodes, "restart", lambda nodes: space_nodes.append(nodes) or restart(nodes)
+        mcts, "_SpaceNodes", lambda *args: space_nodes.append(make_nodes(*args)) or space_nodes[-1]
     ):
         METHODS[method](session, nest, config)
     records = session.records
@@ -73,16 +75,20 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
         assert record.best_so_far_h == best
     assert session.best.h == best
 
+    # mcts: the history holds the session's records in order, each with
+    # the path its playout walked (the root's is empty)
+    history = space_nodes[0].history.entries() if space_nodes else None
+    if history is not None:
+        assert [id(entry[2]) for entry in history] == [id(r) for r in records]
     start = root_node(nest)
-    walked = space_nodes[0].paths if space_nodes else None
     for record in records:
         node, indices = start, []
         for step in record.config.steps:
             indices.append(child_index(node, step, space_params))
             node = child(node, indices[-1], space_params)
         assert node.key == record.key
-        if walked is not None and record.iteration > 0:  # mcts: not the root
-            assert walked[record.key] == tuple(indices)
+        if history is not None:
+            assert history[record.iteration][3] == tuple(indices)
 
     with tempfile.TemporaryDirectory() as directory:
         first, second = Path(directory, "first.jsonl"), Path(directory, "second.jsonl")
@@ -90,3 +96,24 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
         write_log(read_log(first), second)
         assert read_log(first) == records
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_only_mcts_ranks_its_records(method):
+    session = SearchSession(
+        CachedEvaluator(SyntheticLandscape(seed=1)),
+        Budget(max_unique=40, max_iterations=4000),
+        SimulatedClock(),
+        method=method,
+    )
+    config = ExperimentConfig(
+        nest_text="", method=method, seed=1, search=MctsParams(per_run_budget=10, n_walks=3)
+    )
+    adds = []
+    add = RankedHistory.add
+    with mock.patch.object(
+        RankedHistory, "add", lambda history, *args: adds.append(args) or add(history, *args)
+    ):
+        METHODS[method](session, chain_nest(2, arrays=("A",)), config)
+    assert session.unique_evaluations == 40
+    assert len(adds) == (len(session.records) if method == "mcts" else 0)

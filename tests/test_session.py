@@ -11,7 +11,7 @@ from pragmatune.evaluators import (
     Time,
 )
 from pragmatune.loops import Configuration, Reverse, Tile, Unroll
-from pragmatune.reward import RankedHistory, RewardParams, TargetState, quantile_split
+from pragmatune.reward import RewardParams, TargetState, quantile_split
 from pragmatune.session import (
     Budget,
     EvalRecord,
@@ -20,6 +20,8 @@ from pragmatune.session import (
     SimulatedClock,
     record_from_dict,
 )
+
+from helpers import ranked_history
 
 
 def cfg(*steps):
@@ -265,9 +267,9 @@ class TestLogging:
         session = session_with(halver)
         root = session.evaluate_root()
         record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
-        assert quantile_split(session.history, 0.05)  # live records carry configs
+        assert quantile_split(ranked_history(session.records), 0.05)  # live records carry configs
         back = record_from_dict(record.to_dict())
-        history = RankedHistory([root, back])
+        history = ranked_history([root, back])
         for _ in range(2):  # a failed mask build records nothing
             with pytest.raises(AttributeError):
                 quantile_split(history, 0.05)
