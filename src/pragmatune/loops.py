@@ -10,9 +10,9 @@ never mutates its input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterator, Union
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Iterator, NamedTuple, Union
 
 from .errors import DuplicateLoopIdError, InvalidTargetError, NestParseError
 
@@ -21,15 +21,15 @@ from .errors import DuplicateLoopIdError, InvalidTargetError, NestParseError
 ID_SEP = "."
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """One loop in a nest.
 
     ``transformable`` gates every transformation and is cleared for a
     whole subtree by thread parallelization. ``unrollable`` and
     ``reversible`` are consumed by partial unrolling and by reversal.
     ``packed`` holds array names already packed at this loop. ``origin``
-    tags loops created by tiling ("floor" or "tile").
+    tags loops created by tiling ("floor" or "tile"). A named tuple, so
+    ``apply`` builds and ``_replace``s loops at tuple cost.
     """
 
     id: str
@@ -119,21 +119,19 @@ def target_loop(step: Transformation) -> str:
 
 def step_key(step: Transformation) -> str:
     """Injective text form of one transformation, used in configuration keys."""
-    match step:
-        case Tile(top, size, peel):
-            return f"tile({top};{size};{'peel' if peel else 'nopeel'})"
-        case Interchange(top, perm):
-            return f"interchange({top};{','.join(map(str, perm))})"
-        case ParallelizeThread(loop):
-            return f"parallelize({loop})"
-        case Unroll(loop, None):
-            return f"unroll({loop};full)"
-        case Unroll(loop, factor):
-            return f"unroll({loop};{factor})"
-        case Reverse(loop):
-            return f"reverse({loop})"
-        case Pack(loop, array):
-            return f"pack({loop};{array})"
+    kind = type(step)
+    if kind is Tile:
+        return f"tile({step.nest_top};{step.size};{'peel' if step.peel else 'nopeel'})"
+    if kind is Unroll:
+        return f"unroll({step.loop};{'full' if step.factor is None else step.factor})"
+    if kind is Pack:
+        return f"pack({step.loop};{step.array})"
+    if kind is Interchange:
+        return f"interchange({step.nest_top};{','.join(map(str, step.permutation))})"
+    if kind is Reverse:
+        return f"reverse({step.loop})"
+    if kind is ParallelizeThread:
+        return f"parallelize({step.loop})"
     raise TypeError(f"not a transformation: {step!r}")
 
 
@@ -162,23 +160,28 @@ def pragma_identity(step: Transformation) -> tuple:
     raise TypeError(f"not a transformation: {step!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
-    """An ordered transformation sequence; the empty sequence is the root."""
+    """An ordered transformation sequence; the empty sequence is the root.
+
+    ``key`` joins the steps' ``step_key``s with "|"; equality ignores it.
+    """
 
     steps: tuple[Transformation, ...] = ()
+    key: str = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def key(self) -> str:
-        """Joined once per configuration and kept; equality ignores it."""
-        return "|".join(step_key(s) for s in self.steps)
+    def __post_init__(self) -> None:
+        if self.key is None:
+            object.__setattr__(self, "key", "|".join(map(step_key, self.steps)))
 
     @property
     def depth(self) -> int:
         return len(self.steps)
 
     def extended(self, step: Transformation) -> Configuration:
-        return Configuration(self.steps + (step,))
+        """One more step; the key is this one's plus the step's, one ``step_key``."""
+        key = f"{self.key}|{step_key(step)}" if self.steps else step_key(step)
+        return Configuration(self.steps + (step,), key)
 
 
 def anchor_id(loop_id: str) -> str:
@@ -252,19 +255,23 @@ def _chain_from(head: Loop) -> list[Loop]:
     return chain
 
 
-def _chain_heads(loop: Loop, parent: Loop | None, heads: list[Loop]) -> None:
-    """Append, in preorder, the loops of this subtree that start a chain."""
-    if loop.transformable and not _continues_chain(loop, parent):
-        heads.append(loop)
+def _collect_transformable(
+    loop: Loop, parent: Loop | None, loops: list[Loop], heads: list[Loop]
+) -> None:
+    """Append, in preorder, this subtree's transformable loops and those that start a chain."""
+    if loop.transformable:
+        loops.append(loop)
+        if not _continues_chain(loop, parent):
+            heads.append(loop)
     for child in loop.children:
-        _chain_heads(child, loop, heads)
+        _collect_transformable(child, loop, loops, heads)
 
 
 def _chains(nest: LoopNest) -> list[list[Loop]]:
     """Maximal perfect chains of transformable loops, in preorder."""
     heads: list[Loop] = []
     for root in nest.roots:
-        _chain_heads(root, None, heads)
+        _collect_transformable(root, None, [], heads)
     return [_chain_from(head) for head in heads]
 
 
@@ -277,13 +284,8 @@ def perfect_nests(nest: LoopNest) -> list[list[str]]:
     return [[loop.id for loop in chain] for chain in _chains(nest)]
 
 
-def _copy(loop: Loop, **changes) -> Loop:
-    """``replace(loop, **changes)`` at half the cost; a Loop's vars are its fields."""
-    return Loop(**{**vars(loop), **changes})
-
-
 def _freeze(loop: Loop) -> Loop:
-    return _copy(loop, transformable=False, children=tuple(_freeze(c) for c in loop.children))
+    return loop._replace(transformable=False, children=tuple(_freeze(c) for c in loop.children))
 
 
 def _replacement(step: Transformation, loop: Loop, parent: Loop | None, arrays) -> tuple[Loop, ...]:
@@ -316,7 +318,7 @@ def _replacement(step: Transformation, loop: Loop, parent: Loop | None, arrays) 
                 raise InvalidTargetError("identity permutation is not a transformation")
             inner = chain[-1].children
             for pos in reversed(perm):
-                inner = (_copy(chain[pos], children=inner),)
+                inner = (chain[pos]._replace(children=inner),)
             return inner
         case ParallelizeThread():
             return (_freeze(loop),)
@@ -327,11 +329,11 @@ def _replacement(step: Transformation, loop: Loop, parent: Loop | None, arrays) 
                 return loop.children
             if factor < 2:
                 raise InvalidTargetError(f"unroll factor must be >= 2, got {factor}")
-            return (_copy(loop, unrollable=False),)
+            return (loop._replace(unrollable=False),)
         case Reverse():
             if not loop.reversible:
                 raise InvalidTargetError(f"loop {loop.id!r} may not be reversed again")
-            return (_copy(loop, reversible=False),)
+            return (loop._replace(reversible=False),)
         case Pack(_, array):
             if array not in arrays:
                 raise InvalidTargetError(f"unknown array {array!r}")
@@ -339,7 +341,7 @@ def _replacement(step: Transformation, loop: Loop, parent: Loop | None, arrays) 
                 raise InvalidTargetError(
                     f"array {array!r} is already packed at loop {loop.id!r}"
                 )
-            return (_copy(loop, packed=loop.packed | {array}),)
+            return (loop._replace(packed=loop.packed | {array}),)
 
 
 def _rebuilt(loops: tuple[Loop, ...], parent: Loop | None, step, target_id: str, arrays):
@@ -355,7 +357,7 @@ def _rebuilt(loops: tuple[Loop, ...], parent: Loop | None, step, target_id: str,
             children = _rebuilt(loop.children, loop, step, target_id, arrays)
             if children is None:
                 continue
-            new = (_copy(loop, children=children),)
+            new = (loop._replace(children=children),)
         return loops[:k] + new + loops[k + 1 :]
     return None
 

@@ -108,8 +108,8 @@ class SearchNode:
     ``terminal_count`` counts backpropagated paths that ended here, so
     for every node visits == sum(child visits) + terminal_count.
 
-    A node made by ``_get_or_create`` starts as its child index and
-    statistics only; ``space`` and ``n_children`` (one census, which
+    A node made by ``_get_or_create`` starts as its child index, depth
+    and statistics only; ``space`` and ``n_children`` (one census, which
     applies the node's step) are built on first read, so nodes that only
     history transfer touches are never built; ``nodes`` hands out the
     space nodes. Tree nodes hold no strong parent reference: a child
@@ -123,6 +123,7 @@ class SearchNode:
         "_parent",
         "_nodes",
         "index",
+        "depth",
         "visits",
         "total_reward",
         "terminal_count",
@@ -143,6 +144,7 @@ class SearchNode:
         self._nodes = nodes
         self._parent = None if parent is None else weakref.ref(parent)
         self.index = index
+        self.depth = 0 if parent is None else parent.depth + 1
         self.visits = 0
         self.total_reward = 0.0
         self.terminal_count = 0
@@ -172,7 +174,7 @@ def select(root: SearchNode, target_depth: int, c: float) -> list[SearchNode]:
     path = [root]
     node = root
     c2 = 2 * c
-    while node.space.depth < target_depth:
+    while node.depth < target_depth:
         if node.n_children == 0 or len(node.children) < node.n_children:
             break
         two_log = 2 * math.log(max(node.visits, 1))
@@ -248,7 +250,7 @@ def detect_convergence(log: IterationLog) -> str | None:
 def _descend(path: list[SearchNode], depth: int, rng: random.Random) -> None:
     """Extend ``path`` by uniformly drawn children down to ``depth`` or a dead end."""
     node = path[-1]
-    while node.space.depth < depth and node.n_children > 0:
+    while node.depth < depth and node.n_children > 0:
         node = _get_or_create(node, rng.randrange(node.n_children))
         path.append(node)
 
@@ -302,7 +304,7 @@ def learn_depth(
         h = measured[0].h
         if h is not None and (best_h is None or h > best_h):
             best_h = h
-            d_star = max(1, path[-1].space.depth)
+            d_star = max(1, path[-1].depth)
     return d_star
 
 
@@ -378,7 +380,7 @@ def search(
             phase_iterations += 1
             path = select(tree, d_star, params.c)
             leaf = path[-1]
-            if leaf.space.depth < d_star and len(leaf.children) < leaf.n_children:
+            if leaf.depth < d_star and len(leaf.children) < leaf.n_children:
                 path.append(expand(leaf, rng_expand))
             _descend(path, d_star, rng_walks)
             measured = _playout(path, session, params, target, phase)

@@ -11,6 +11,7 @@ order the pragma stack is consumed in.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from .errors import MissingAnchorError
 from .loops import (
@@ -30,12 +31,15 @@ from .loops import (
 _ANCHOR_LINE = re.compile(r"^(\s*)/\*@loop:([^*\s]+)\*/\s*$")
 
 
+@cache
 def pragma_clause(step: Transformation) -> str:
     """The directive text of one transformation, without the ``#pragma`` prefix.
 
     Targets outside the anchor's floor lineage (the template loop or the
     floor loops tiled out of it) carry an explicit ``id(...)`` clause;
     the default target needs none, matching how stacked pragmas read.
+    Computed once per distinct step: every fresh record renders each of
+    its steps, and a step recurs in every configuration below it.
     """
     target = target_loop(step)
     match step:

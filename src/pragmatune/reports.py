@@ -9,10 +9,10 @@ All tables are tab-separated with a header row.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .errors import EmptyHistoryError, LogParseError
+from .reward import tail_rank
 from .session import EvalRecord, record_from_dict
 
 
@@ -75,8 +75,7 @@ def top_cutoff(values: list[float], fraction: float) -> float:
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     ordered = sorted(values)
-    k = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[len(ordered) - k]
+    return ordered[len(ordered) - tail_rank(len(ordered), fraction)]
 
 
 def emit_cutoff_counts(

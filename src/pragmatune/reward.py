@@ -6,7 +6,6 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from statistics import fmean
 from typing import TYPE_CHECKING
 
 from .errors import EmptyHistoryError
@@ -39,6 +38,8 @@ class RewardParams:
     def __post_init__(self) -> None:
         if not isinstance(self.m, int):
             raise TypeError("m must be an integer")
+        if type(self.monotone_target) is not bool:
+            raise TypeError("monotone_target must be a boolean")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not self.r_penalty < 0:
@@ -73,7 +74,7 @@ class TargetState:
         """Push one successful speedup and return the new target."""
         self._recent.append(h)
         floor = self.f if self._monotone else self._initial
-        self.f = max(floor, fmean(self._recent))
+        self.f = max(floor, math.fsum(self._recent) / len(self._recent))
         return self.f
 
 
@@ -98,45 +99,43 @@ class RankedHistory:
     record's steps, bits numbered as the history first meets each
     identity (a root record's mask is 0), and ``path`` is the child-index
     path ``add`` was given with the record. In a search, arrival order is
-    the records' ``iteration``. Masks are computed by ``entries``, once
-    per record, for the records that arrived since its last call, so a
-    history that is never split never computes one.
+    the records' ``iteration``. ``add`` computes each record's mask as
+    it arrives: only mcts keeps a history, and its next restart splits
+    every record it adds.
     """
 
-    __slots__ = ("ranked", "_failed", "_records", "_entries", "_bits")
+    __slots__ = ("ranked", "_failed", "_entries", "_bits")
 
     def __init__(self) -> None:
         self.ranked: list[tuple[float, int]] = []
         self._failed: list[HistoryEntry] = []  # in arrival order
-        self._records: list[tuple[EvalRecord, tuple[int, ...]]] = []
         self._entries: list[HistoryEntry] = []
         self._bits: dict[tuple, int] = {}
 
     def add(self, record: EvalRecord, path: tuple[int, ...]) -> None:
-        if record.h is not None:
-            insort(self.ranked, (record.h, len(self._records)))
-        self._records.append((record, path))
+        """Enter ``record`` with its path.
+
+        Raises AttributeError, entering nothing, for a record without a
+        ``config`` (one read back from a log).
+        """
+        bits, mask = self._bits, 0
+        for step in record.config.steps:
+            identity = pragma_identity(step)
+            bit = bits.get(identity)
+            if bit is None:
+                bit = bits[identity] = 1 << len(bits)
+            mask |= bit
+        arrival = len(self._entries)
+        entry = (arrival, mask, record, path)
+        if record.h is None:
+            self._failed.append(entry)
+        else:
+            insort(self.ranked, (record.h, arrival))
+        self._entries.append(entry)
 
     def entries(self) -> list[HistoryEntry]:
-        """Every record's entry, in arrival order.
-
-        Raises AttributeError on reaching a record without a ``config``
-        (one read back from a log).
-        """
-        entries, bits = self._entries, self._bits
-        for record, path in self._records[len(entries):]:
-            mask = 0
-            for step in record.config.steps:
-                identity = pragma_identity(step)
-                bit = bits.get(identity)
-                if bit is None:
-                    bit = bits[identity] = 1 << len(bits)
-                mask |= bit
-            entry = (len(entries), mask, record, path)
-            entries.append(entry)
-            if record.h is None:
-                self._failed.append(entry)
-        return entries
+        """Every record's entry, in arrival order."""
+        return self._entries
 
 
 def quantile_split(

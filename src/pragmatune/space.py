@@ -27,7 +27,8 @@ from .loops import (
     Tile,
     Transformation,
     Unroll,
-    _chains,
+    _chain_from,
+    _collect_transformable,
     apply,
     step_key,
 )
@@ -123,53 +124,42 @@ def _chain_permutations(k: int, params: SpaceParams) -> tuple[tuple[int, ...], .
 
 
 class _Census:
-    """Per-nest loop bookkeeping behind the child-index arithmetic."""
+    """Per-nest loop bookkeeping behind the child-index arithmetic.
 
-    __slots__ = (
-        "params",
-        "chain_heads",
-        "chain_perms",
-        "parallelizable",
-        "unrollable",
-        "reversible",
-        "packable",
-        "tile_block",
-        "unroll_block",
-        "section_sizes",
-        "total",
-        "indices",
-    )
+    It keeps the chain heads and their permutations, the transformable
+    loops (the nest's own objects), both sorted by id, and the six
+    section sizes. Unrollable, reversible and packable loops are only
+    counted; ``child_transformation`` finds its target among ``loops``.
+    """
+
+    __slots__ = ("params", "heads", "perms", "loops", "section_sizes", "total", "indices")
 
     def __init__(self, nest: LoopNest, params: SpaceParams):
         self.params = params
-        chains = sorted(_chains(nest), key=lambda c: c[0].id)
-        self.chain_heads = [c[0].id for c in chains]
-        self.chain_perms = [_chain_permutations(len(c), params) for c in chains]
-        loops = sorted(
-            (l for l in nest.walk() if l.transformable), key=lambda l: l.id
-        )
-        self.parallelizable = [l.id for l in loops]
-        self.unrollable = [l.id for l in loops if l.unrollable]
-        self.reversible = [l.id for l in loops if l.reversible]
-        # A loop that has packed nothing shares the nest's own array tuple.
-        self.packable = [
-            (
-                l.id,
-                tuple(a for a in nest.arrays if a not in l.packed)
-                if l.packed
-                else nest.arrays,
-            )
-            for l in loops
-        ]
-        self.tile_block = len(params.tile_sizes) * len(params.peel_variants)
-        self.unroll_block = 1 + len(params.unroll_factors)
+        self.loops = loops = []
+        heads = []
+        for root in nest.roots:
+            _collect_transformable(root, None, loops, heads)
+        # Loop ids are unique in a nest, so loops sort by id.
+        loops.sort()
+        heads.sort()
+        self.heads = [head.id for head in heads]
+        self.perms = [_chain_permutations(len(_chain_from(head)), params) for head in heads]
+        arrays = nest.arrays
+        unrollable = reversible = 0
+        packs = len(arrays) * len(loops)
+        for loop in loops:
+            unrollable += loop.unrollable
+            reversible += loop.reversible
+            if loop.packed:
+                packs -= sum(a in loop.packed for a in arrays)
         self.section_sizes = (
-            len(self.chain_heads) * self.tile_block,
-            sum(len(p) for p in self.chain_perms),
-            len(self.parallelizable),
-            len(self.unrollable) * self.unroll_block,
-            len(self.reversible),
-            sum(len(arrays) for _, arrays in self.packable),
+            len(heads) * len(params.tile_sizes) * len(params.peel_variants),
+            sum(map(len, self.perms)),
+            len(loops),
+            unrollable * (1 + len(params.unroll_factors)),
+            reversible,
+            packs,
         )
         self.total = sum(self.section_sizes)
         self.indices: dict[Transformation, int] | None = None  # child_index's table
@@ -197,39 +187,40 @@ def child_transformation(node: SpaceNode, index: int, params: SpaceParams) -> Tr
     sizes = census.section_sizes
 
     if offset < sizes[0]:
-        head = census.chain_heads[offset // census.tile_block]
-        rest = offset % census.tile_block
-        size = params.tile_sizes[rest // len(params.peel_variants)]
-        peel = params.peel_variants[rest % len(params.peel_variants)]
-        return Tile(head, size, peel)
+        peels = len(params.peel_variants)
+        head, rest = divmod(offset, len(params.tile_sizes) * peels)
+        size, peel = params.tile_sizes[rest // peels], params.peel_variants[rest % peels]
+        return Tile(census.heads[head], size, peel)
     offset -= sizes[0]
 
     if offset < sizes[1]:
-        for head, perms in zip(census.chain_heads, census.chain_perms):
+        for head, perms in zip(census.heads, census.perms):
             if offset < len(perms):
                 return Interchange(head, perms[offset])
             offset -= len(perms)
     offset -= sizes[1]
 
     if offset < sizes[2]:
-        return ParallelizeThread(census.parallelizable[offset])
+        return ParallelizeThread(census.loops[offset].id)
     offset -= sizes[2]
 
     if offset < sizes[3]:
-        loop = census.unrollable[offset // census.unroll_block]
-        rest = offset % census.unroll_block
-        factor = None if rest == 0 else params.unroll_factors[rest - 1]
-        return Unroll(loop, factor)
+        nth, rest = divmod(offset, 1 + len(params.unroll_factors))
+        loop = [l for l in census.loops if l.unrollable][nth]
+        return Unroll(loop.id, None if rest == 0 else params.unroll_factors[rest - 1])
     offset -= sizes[3]
 
     if offset < sizes[4]:
-        return Reverse(census.reversible[offset])
+        return Reverse([l for l in census.loops if l.reversible][offset].id)
     offset -= sizes[4]
 
-    for loop, arrays in census.packable:
-        if offset < len(arrays):
-            return Pack(loop, arrays[offset])
-        offset -= len(arrays)
+    arrays = node.nest.arrays
+    for loop in census.loops:
+        for array in arrays:
+            if array not in loop.packed:
+                if offset == 0:
+                    return Pack(loop.id, array)
+                offset -= 1
     raise AssertionError("unreachable: index inside total but not in any section")
 
 

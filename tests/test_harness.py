@@ -565,6 +565,13 @@ class TestCli:
         assert main(["tune", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad 'space' section: ")
 
+    @pytest.mark.parametrize("value", ["no", 0, 1])
+    def test_a_non_boolean_monotone_target_exits_with_two(self, experiment_dir, capsys, value):
+        path = write_experiment(experiment_dir, reward={"monotone_target": value})
+        assert main(["tune", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad 'reward' section: ") and "boolean" in err
+
     def test_a_cutoff_over_no_successful_record_exits_with_two(self, experiment_dir, capsys):
         empty = experiment_dir / "empty.jsonl"
         empty.write_text("")

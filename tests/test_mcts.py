@@ -461,6 +461,7 @@ def assert_children_extend_their_parent(node, params):
     for index, child in node.children.items():
         step = space.child_transformation(node.space, index, params.space)
         assert child.space.config == node.space.config.extended(step)
+        assert child.depth == node.depth + 1 == child.space.depth
         assert_children_extend_their_parent(child, params)
 
 
@@ -729,8 +730,9 @@ class TestRestartHeavyRun:
         summary = run_experiment(restart_heavy_config())
         last = max(r.phase for r in summary.records)
         assert last == 10
-        # The last split covers every record measured before the last phase.
-        assert len(calls) == sum(r.depth for r in summary.records if r.phase < last)
+        # Every record enters the history once, and its mask is computed
+        # there: one identity per step, however many phases split it.
+        assert calls == [step for r in summary.records for step in r.config.steps]
         per_phase = sum(r.depth for p in range(last + 1) for r in summary.records if r.phase < p)
         assert len(calls) < per_phase / 3
 

@@ -12,6 +12,7 @@ from pragmatune.reports import (
     top_cutoff,
     write_log,
 )
+from pragmatune.reward import tail_rank
 from pragmatune.session import EvalRecord
 
 
@@ -109,6 +110,13 @@ class TestTopCutoff:
 
     def test_single_value(self):
         assert top_cutoff([3.5], 0.05) == 3.5
+
+    def test_the_cutoff_is_the_search_tails_nearest_rank(self):
+        for n in range(1, 51):
+            values = [float(7 * k % 13) for k in range(n)]  # ties from n = 14 on
+            for fraction in (0.05, 0.3, 1.0):
+                expected = sorted(values)[-tail_rank(n, fraction)]
+                assert top_cutoff(values, fraction) == expected, (n, fraction)
 
     def test_validation(self):
         with pytest.raises(ValueError):

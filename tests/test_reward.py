@@ -166,14 +166,15 @@ class TestHistoryMasks:
             reward_module, "pragma_identity", lambda s: calls.append(s) or pragma_identity(s)
         )
         history = ranked_history([rec(1.0), rec(2.0, [Reverse("i"), Unroll("i", 2)])])
-        assert calls == []  # adding computes no mask
+        assert len(calls) == 2  # adding computes the mask, one identity per step
         first = history.entries()
-        assert len(calls) == 2
         history.add(rec(None, [Reverse("j")], iteration=2), ())
-        second = history.entries()
         assert len(calls) == 3
+        second = history.entries()
         assert second[:2] == first[:2] and second[2][1] == 0b1  # reverse's bit
-        lower, _ = quantile_split(history, 0.05)
+        for alpha in (0.05, 0.4):  # a split computes none
+            lower, upper = quantile_split(history, alpha)
+            penalty_filter(lower, upper)
         assert second[2] in lower and len(calls) == 3
 
 

@@ -263,14 +263,15 @@ class TestLogging:
         assert back == record
         assert "config" not in record.to_dict()
 
-    def test_a_split_that_reaches_a_read_back_record_raises(self):
+    def test_a_history_refuses_a_read_back_record(self):
         session = session_with(halver)
         root = session.evaluate_root()
         record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
         assert quantile_split(ranked_history(session.records), 0.05)  # live records carry configs
         back = record_from_dict(record.to_dict())
-        history = ranked_history([root, back])
-        for _ in range(2):  # a failed mask build records nothing
+        history = ranked_history([root])
+        for _ in range(2):  # a failed mask build enters nothing
             with pytest.raises(AttributeError):
-                quantile_split(history, 0.05)
+                history.add(back, ())
+        assert history.entries() == [(0, 0, root, ())] and history.ranked == [(root.h, 0)]
         assert back == record

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pragmatune import space
 from pragmatune.errors import InvalidTargetError
 from pragmatune.loops import (
+    Configuration,
     Interchange,
     Loop,
     LoopNest,
@@ -19,6 +20,7 @@ from pragmatune.loops import (
     Unroll,
     apply,
     perfect_nests,
+    step_key,
     target_loop,
 )
 from pragmatune.space import (
@@ -281,6 +283,19 @@ def random_nodes(draw):
     return node, params
 
 
+@st.composite
+def walked_nodes(draw):
+    """A node 2-4 uniform steps below the root of a random nest (fewer at a dead end).
+
+    Its loops may already be unrolled, reversed, packed, parallelized,
+    tiled twice or interchanged.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    params = random_params(rng)
+    node = root_node(random_nest(rng, max_loops=5))
+    return random_walk(node, draw(st.integers(2, 4)), rng, params), params
+
+
 def path_to(loops, loop_id):
     """The loops from a root down to ``loop_id``; empty when it is absent."""
     for loop in loops:
@@ -336,6 +351,18 @@ class TestRandomNestProperties:
             present = {id(loop) for loop in result.walk()}
             for subtree in untouched(node.nest, step):
                 assert id(subtree) in present, (step, subtree.id)
+
+    @settings(max_examples=100)
+    @given(walked_nodes())
+    def test_the_census_agrees_with_the_oracle_steps_deep(self, case):
+        assert_node_agrees(*case, 0)
+
+    @settings(max_examples=100)
+    @given(walked_nodes())
+    def test_extended_builds_the_joined_key(self, case):
+        config = case[0].config
+        assert config.key == "|".join(step_key(s) for s in config.steps)
+        assert config == Configuration(config.steps)
 
     @settings(max_examples=150)
     @given(random_nodes())
