@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type rule for config fields."""
+
+import builtins
+import dataclasses
+import sys
 
 
 class PragmatuneError(Exception):
@@ -35,3 +39,34 @@ class LogParseError(PragmatuneError, ValueError):
 
 class RootEvaluationError(PragmatuneError, RuntimeError):
     """The baseline (empty) configuration could not be measured."""
+
+
+def _fits(value: object, hint: str, scope: dict) -> bool:
+    hint, _, optional = hint.partition(" | ")
+    if optional and value is None:
+        return True
+    if hint == "float":
+        return type(value) in (int, float)
+    if hint.startswith("tuple["):
+        return type(value) is tuple and all(_fits(v, hint[6:-6], scope) for v in value)
+    kind = scope[hint] if hint in scope else getattr(builtins, hint)
+    return type(value) is kind if kind in (int, bool) else isinstance(value, kind)
+
+
+def check_fields(obj: object) -> None:
+    """Check each field of the frozen dataclass ``obj`` against its annotation.
+
+    Annotations are read as strings, so the defining module postpones
+    their evaluation. ``int`` and ``bool`` mean exactly that type (a bool
+    would render as "True" in a pragma's sizes), ``float`` an int or a
+    float (stored as float), ``tuple[T, ...]`` a tuple of T, ``X | None``
+    also None, and any other class an instance of it. Raises TypeError
+    naming the field.
+    """
+    scope = vars(sys.modules[type(obj).__module__])
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _fits(value, f.type, scope):
+            raise TypeError(f"'{f.name}' must be {f.type}, got {value!r}")
+        if f.type == "float":
+            object.__setattr__(obj, f.name, float(value))

@@ -22,6 +22,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
+from .errors import check_fields
 from .loops import Configuration, Pack, Tile, pragma_identity
 from .rendering import render_pragmas
 
@@ -63,7 +64,7 @@ class ExternalJobSpec:
     ``{out}`` placeholders; ``run_cmd`` takes ``{out}``. A compile whose
     output matches ``reject_pattern`` counts as a compile failure even
     on exit 0 (Polly reports transformations it cannot prove safe that
-    way rather than failing the build).
+    way rather than failing the build). Building a spec checks it.
     """
 
     source_template: str
@@ -72,6 +73,40 @@ class ExternalJobSpec:
     repetitions: int = 5
     timeout_s: float = 300.0
     reject_pattern: str | None = None
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.repetitions < 1:
+            raise ValueError(f"'repetitions' must be >= 1, got {self.repetitions!r}")
+        if not self.timeout_s > 0:
+            raise ValueError(f"'timeout_s' must be > 0, got {self.timeout_s!r}")
+        for name in ("compile_cmd", "run_cmd"):
+            try:
+                argv = shlex.split(getattr(self, name).format(src="src", out="out"))
+            except (LookupError, AttributeError, ValueError) as exc:
+                raise ValueError(f"'{name}' may name only {{src}} and {{out}}: {exc!r}") from exc
+            if not argv:
+                raise ValueError(f"'{name}' is empty")
+        try:
+            re.compile(self.reject_pattern or "")
+        except re.error as exc:
+            raise ValueError(f"'reject_pattern' does not compile: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """The synthetic evaluator's knobs; ``seed`` None derives one from the run's seed."""
+
+    seed: int | None = None
+    base_time: float = 1.0
+    failure_rate: float = 0.10
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if not self.base_time > 0:
+            raise ValueError(f"'base_time' must be > 0, got {self.base_time!r}")
+        if not 0 <= self.failure_rate < 1:
+            raise ValueError(f"'failure_rate' must be in [0, 1), got {self.failure_rate!r}")
 
 
 def _run(cmd: str, timeout_s: float) -> subprocess.CompletedProcess:
@@ -166,13 +201,10 @@ class SyntheticLandscape:
         interaction_range: tuple[float, float] = (0.9, 1.1),
         pack_conflict_size: int | None = 128,
     ):
-        if base_time <= 0:
-            raise ValueError("base_time must be positive")
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValueError("failure_rate must be in [0, 1)")
+        spec = SyntheticSpec(seed, base_time, failure_rate)
         self.seed = seed
-        self.base_time = base_time
-        self.failure_rate = failure_rate
+        self.base_time = spec.base_time
+        self.failure_rate = spec.failure_rate
         self.multiplier_range = multiplier_range
         self.interaction_range = interaction_range
         self.pack_conflict_size = pack_conflict_size

@@ -22,11 +22,12 @@ from pathlib import Path
 from typing import Callable
 
 from . import baselines, mcts
-from .errors import ExperimentConfigError
+from .errors import ExperimentConfigError, check_fields
 from .evaluators import (
     CachedEvaluator,
     ExternalJobSpec,
     SyntheticLandscape,
+    SyntheticSpec,
     evaluate_external,
 )
 from .loops import LoopNest, load_loop_nest
@@ -66,6 +67,11 @@ class ExperimentConfig:
     search: MctsParams = field(default_factory=MctsParams)
     out_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.method not in METHODS:
+            raise ValueError(f"'method' must be one of {tuple(METHODS)}, got {self.method!r}")
+
     def mcts_params(self) -> MctsParams:
         return replace(self.search, reward=self.reward, space=self.space)
 
@@ -87,37 +93,28 @@ METHODS: dict[str, Callable[[SearchSession, LoopNest, ExperimentConfig], None]] 
 }
 
 
-def _take(doc: dict, key: str, cls):
-    section = doc.get(key, {})
+# Section name -> the class its object builds; _KEYS is every top-level key.
+_SECTIONS = {"budget": Budget, "space": SpaceParams, "reward": RewardParams, "search": MctsParams}
+_KEYS = {"version", "nest", "method", "seed", "evaluator", "out", *_SECTIONS}
+
+
+def _take(section: object, key: str, cls):
+    """``cls`` built from the object ``section``, each JSON list as a tuple."""
     if not isinstance(section, dict):
         raise ExperimentConfigError(f"'{key}' must be an object")
-    section = dict(section)
     try:
-        if cls is SpaceParams:
-            for name in ("tile_sizes", "unroll_factors", "peel_variants"):
-                if name in section:
-                    section[name] = tuple(section[name])
-        return cls(**section)
+        return cls(**{k: tuple(v) if type(v) is list else v for k, v in section.items()})
     except (TypeError, ValueError) as exc:
         raise ExperimentConfigError(f"bad '{key}' section: {exc}") from exc
 
 
-def _convert(section: dict, key: str, kind: type, where: str = "") -> None:
-    """Convert ``section[key]``, when present, to ``kind`` in place."""
-    if key in section:
-        try:
-            section[key] = kind(section[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ExperimentConfigError(f"'{where}{key}' must be a number: {exc}") from exc
-
-
-# Numeric evaluator fields: the type each converts to and the range it must lie in.
-_EVALUATOR_FIELDS = (
-    ("base_time", float, lambda v: v > 0, "> 0"),
-    ("failure_rate", float, lambda v: 0 <= v < 1, "in [0, 1)"),
-    ("repetitions", int, lambda v: v >= 1, ">= 1"),
-    ("timeout_s", float, lambda v: v > 0, "> 0"),
-)
+def _evaluator_spec(section: object) -> SyntheticSpec | ExternalJobSpec:
+    """The spec an evaluator section describes; its ``type`` picks the class."""
+    kind = section.get("type", "synthetic") if isinstance(section, dict) else None
+    if kind not in ("synthetic", "external"):
+        raise ExperimentConfigError("'evaluator' must be a 'synthetic' or 'external' object")
+    knobs = {k: v for k, v in section.items() if k != "type"}
+    return _take(knobs, "evaluator", SyntheticSpec if kind == "synthetic" else ExternalJobSpec)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -129,61 +126,38 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ExperimentConfigError(f"cannot read experiment file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ExperimentConfigError("experiment file must hold a JSON object")
+    unknown = sorted(doc.keys() - _KEYS)
+    if unknown:
+        raise ExperimentConfigError(f"unknown keys: {', '.join(unknown)}")
     if doc.get("version", 1) != 1:
         raise ExperimentConfigError(f"unsupported version {doc.get('version')!r}")
-    if "nest" not in doc:
-        raise ExperimentConfigError("experiment file needs a 'nest' path")
-    if not isinstance(doc["nest"], str) or not isinstance(doc.get("out"), (str, type(None))):
+    if not isinstance(doc.get("nest"), str) or not isinstance(doc.get("out"), (str, type(None))):
         raise ExperimentConfigError("'nest' and 'out' must be path strings")
-    _convert(doc, "seed", int)
     base_dir = path.parent
-    nest_path = base_dir / doc["nest"]
     try:
-        nest_text = nest_path.read_text()
+        nest_text = (base_dir / doc["nest"]).read_text()
     except OSError as exc:
         raise ExperimentConfigError(f"cannot read nest file: {exc}") from exc
-    method = doc.get("method", "mcts")
-    if method not in METHODS:
-        raise ExperimentConfigError(f"method must be one of {tuple(METHODS)}, got {method!r}")
     evaluator = doc.get("evaluator", {"type": "synthetic"})
-    if not isinstance(evaluator, dict) or evaluator.get("type", "synthetic") not in (
-        "synthetic",
-        "external",
-    ):
-        raise ExperimentConfigError("evaluator.type must be 'synthetic' or 'external'")
-    evaluator = dict(evaluator)
-    for key, kind, in_range, bound in _EVALUATOR_FIELDS:
-        _convert(evaluator, key, kind, "evaluator.")
-        if key in evaluator and not in_range(evaluator[key]):
-            raise ExperimentConfigError(
-                f"'evaluator.{key}' must be {bound}, got {evaluator[key]!r}"
-            )
-    if evaluator.get("type", "synthetic") == "external":
-        template_path = evaluator.get("source_template")
-        if not template_path:
-            raise ExperimentConfigError("external evaluator needs 'source_template'")
+    spec = _evaluator_spec(evaluator)
+    if isinstance(spec, ExternalJobSpec):
         try:
-            evaluator["source_template"] = (base_dir / template_path).read_text()
+            template = (base_dir / spec.source_template).read_text()
         except OSError as exc:
             raise ExperimentConfigError(f"cannot read source template: {exc}") from exc
-        for key in ("compile_cmd", "run_cmd"):
-            if not evaluator.get(key):
-                raise ExperimentConfigError(f"external evaluator needs '{key}'")
-    search = _take(doc, "search", MctsParams)
-    for name in ("space", "reward"):
-        if name in doc.get("search", {}):
-            raise ExperimentConfigError(f"'{name}' is a top-level section, not a 'search' key")
-    return ExperimentConfig(
-        nest_text=nest_text,
-        method=method,
-        seed=doc.get("seed", 0),
-        evaluator=evaluator,
-        budget=_take(doc, "budget", Budget),
-        space=_take(doc, "space", SpaceParams),
-        reward=_take(doc, "reward", RewardParams),
-        search=search,
-        out_dir=doc.get("out"),
-    )
+        evaluator = {**evaluator, "source_template": template}
+    sections = {key: _take(doc.get(key, {}), key, cls) for key, cls in _SECTIONS.items()}
+    try:
+        return ExperimentConfig(
+            nest_text=nest_text,
+            method=doc.get("method", "mcts"),
+            seed=doc.get("seed", 0),
+            evaluator=evaluator,
+            out_dir=doc.get("out"),
+            **sections,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ExperimentConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -211,24 +185,11 @@ class ExperimentSummary:
 
 def build_evaluator(config: ExperimentConfig):
     """The inner evaluator plus the clock matching its determinism."""
-    spec = config.evaluator
-    kind = spec.get("type", "synthetic")
-    if kind == "synthetic":
-        landscape = SyntheticLandscape(
-            seed=spec.get("seed", derive_seed(config.seed, "landscape")),
-            base_time=spec.get("base_time", 1.0),
-            failure_rate=spec.get("failure_rate", 0.10),
-        )
-        return landscape, SimulatedClock()
-    job = ExternalJobSpec(
-        source_template=spec["source_template"],
-        compile_cmd=spec["compile_cmd"],
-        run_cmd=spec["run_cmd"],
-        repetitions=int(spec.get("repetitions", 5)),
-        timeout_s=float(spec.get("timeout_s", 300.0)),
-        reject_pattern=spec.get("reject_pattern"),
-    )
-    return functools.partial(evaluate_external, job=job), MonotonicClock()
+    spec = _evaluator_spec(config.evaluator)
+    if isinstance(spec, ExternalJobSpec):
+        return functools.partial(evaluate_external, job=spec), MonotonicClock()
+    seed = derive_seed(config.seed, "landscape") if spec.seed is None else spec.seed
+    return SyntheticLandscape(seed, spec.base_time, spec.failure_rate), SimulatedClock()
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:

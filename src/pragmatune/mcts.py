@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import space
+from .errors import check_fields
 from .loops import LoopNest
 from .reward import (
     RankedHistory,
@@ -63,15 +64,12 @@ class MctsParams:
     space: SpaceParams = field(default_factory=SpaceParams)
 
     def __post_init__(self) -> None:
-        counts = (self.per_run_budget, self.n_walks, self.no_improve_limit, self.same_config_limit)
-        if not all(isinstance(v, int) for v in counts):
-            raise TypeError("per_run_budget, n_walks and the convergence limits must be integers")
-        if self.c < 0:
+        check_fields(self)
+        if not self.c >= 0:
             raise ValueError("c must be >= 0")
-        if min(self.per_run_budget, self.n_walks) < 1:
-            raise ValueError("per_run_budget and n_walks must be >= 1")
-        if min(self.no_improve_limit, self.same_config_limit) < 1:
-            raise ValueError("convergence limits must be >= 1")
+        counts = (self.per_run_budget, self.n_walks, self.no_improve_limit, self.same_config_limit)
+        if min(counts) < 1:
+            raise ValueError("per_run_budget, n_walks and the convergence limits must be >= 1")
 
 
 class _SpaceNodes:

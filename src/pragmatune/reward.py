@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyHistoryError
+from .errors import EmptyHistoryError, check_fields
 from .evaluators import Outcome
 from .loops import pragma_identity
 
@@ -36,10 +36,7 @@ class RewardParams:
     monotone_target: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int):
-            raise TypeError("m must be an integer")
-        if type(self.monotone_target) is not bool:
-            raise TypeError("monotone_target must be a boolean")
+        check_fields(self)
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not self.r_penalty < 0:

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import RootEvaluationError
+from .errors import RootEvaluationError, check_fields
 from .evaluators import CachedEvaluator, CompileFailure, Outcome, RunFailure, Time
 from .loops import Configuration
 from .rendering import pragma_lines
@@ -38,11 +38,10 @@ class Budget:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_unique, int) or not isinstance(self.max_iterations, int | None):
-            raise TypeError("max_unique and max_iterations must be integers")
+        check_fields(self)
         if self.max_unique < 0:
             raise ValueError("max_unique must be >= 0")
-        if self.max_wall_clock_s <= 0:
+        if not self.max_wall_clock_s > 0:
             raise ValueError("max_wall_clock_s must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when set")

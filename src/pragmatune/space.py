@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
+from .errors import check_fields
 from .loops import (
     Configuration,
     Interchange,
@@ -49,12 +50,7 @@ class SpaceParams:
     max_permutation_depth: int = 4
 
     def __post_init__(self) -> None:
-        # Exactly int: a bool would render as "True" in a pragma's sizes or factor.
-        counts = (self.d_max, self.max_permutation_depth, *self.tile_sizes, *self.unroll_factors)
-        if not all(type(v) is int for v in counts):
-            raise TypeError("d_max, max_permutation_depth, sizes and factors must be integers")
-        if not all(type(v) is bool for v in self.peel_variants):
-            raise TypeError("peel_variants must be booleans")
+        check_fields(self)
         if self.d_max < 1:
             raise ValueError("d_max must be >= 1")
         if any(s < 1 for s in self.tile_sizes):

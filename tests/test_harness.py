@@ -1,15 +1,17 @@
 """Experiment files, orchestration, persistence, and the command line."""
 
+import dataclasses
 import gc
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 from pragmatune import harness
 from pragmatune.cli import main
 from pragmatune.errors import ExperimentConfigError, RootEvaluationError
-from pragmatune.evaluators import CompileFailure, SyntheticLandscape
+from pragmatune.evaluators import CompileFailure, ExternalJobSpec, SyntheticLandscape, SyntheticSpec
 from pragmatune.harness import (
     LOG_ENV_VAR,
     METHODS,
@@ -20,8 +22,13 @@ from pragmatune.harness import (
     load_experiment_config,
     run_experiment,
 )
+from pragmatune.mcts import MctsParams
 from pragmatune.reports import read_log, write_log
+from pragmatune.reward import RewardParams
 from pragmatune.session import Budget, MonotonicClock, SimulatedClock
+from pragmatune.space import SpaceParams
+
+REPO = Path(__file__).resolve().parent.parent
 
 NEST_DOC = {
     "loops": [{"id": "i", "children": [{"id": "j"}]}],
@@ -72,6 +79,60 @@ def write_experiment(directory, **overrides):
     path = directory / "exp.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+EXTERNAL = {
+    "type": "external",
+    "source_template": "kernel.c",
+    "compile_cmd": "cc {src} -o {out}",
+    "run_cmd": "{out}",
+}
+
+# Wrong-typed JSON values for each field annotation: a string for a
+# number, true for a count or a float, 2.5 for a count, "no" for a bool,
+# and a scalar where a list or an object is expected.
+WRONG_VALUES = {
+    "int": ["7", True, 2.5],
+    "int | None": ["7", True, 2.5],
+    "float": ["0.5", True],
+    "bool": ["no", 1],
+    "str": [5],
+    "str | None": [5],
+    "tuple[int, ...]": [4, [2.5], [True]],
+    "tuple[bool, ...]": [True, ["no"]],
+    "dict": [5],
+    "Budget": [5],
+    "SpaceParams": [5],
+    "RewardParams": [5],
+    "MctsParams": [5],
+}
+
+
+def wrong_type_cases():
+    """An experiment-file override for each wrong value of every field, and the key it names.
+
+    The cases come from each section class's fields, so a field added
+    later is covered. The top level's are ExperimentConfig's fields, but
+    ``nest_text``, which the file gives as the ``nest`` path.
+    """
+    sections = [
+        ("budget", Budget, {}),
+        ("space", SpaceParams, {}),
+        ("reward", RewardParams, {}),
+        ("search", MctsParams, {}),
+        ("evaluator", SyntheticSpec, {"type": "synthetic"}),
+        ("evaluator", ExternalJobSpec, EXTERNAL),
+    ]
+    for key, cls, base in sections:
+        for f in dataclasses.fields(cls):
+            for value in WRONG_VALUES[f.type]:
+                override = {key: {**base, f.name: value}}
+                yield pytest.param(override, f.name, id=f"{cls.__name__}.{f.name}={value!r}")
+    for f in dataclasses.fields(ExperimentConfig):
+        key = "out" if f.name == "out_dir" else f.name
+        if key != "nest_text":
+            for value in WRONG_VALUES[f.type]:
+                yield pytest.param({key: value}, key, id=f"{key}={value!r}")
 
 
 class TestDeriveSeed:
@@ -140,7 +201,7 @@ class TestLoadExperimentConfig:
         # and then be silently replaced by the top-level ones.
         for name, section in (("space", {"d_max": 1}), ("reward", {"alpha": 0.9})):
             path = write_experiment(experiment_dir, search={"n_walks": 4, name: section})
-            with pytest.raises(ExperimentConfigError, match=f"'{name}' is a top-level section"):
+            with pytest.raises(ExperimentConfigError, match=f"'search' section: '{name}' must be"):
                 load_experiment_config(path)
 
     def test_bad_scalar_fields_are_config_errors(self, experiment_dir):
@@ -156,10 +217,10 @@ class TestLoadExperimentConfig:
             ({"seed": float("inf")}, "'seed'"),
             ({"nest": 5}, "'nest'"),
             ({"out": 5}, "'out'"),
-            ({"evaluator": {"type": "synthetic", "base_time": "x"}}, "'evaluator.base_time'"),
-            ({"evaluator": {"failure_rate": None}}, "'evaluator.failure_rate'"),
-            ({"evaluator": {**external, "repetitions": "many"}}, "'evaluator.repetitions'"),
-            ({"evaluator": {**external, "timeout_s": [60]}}, "'evaluator.timeout_s'"),
+            ({"evaluator": {"type": "synthetic", "base_time": "x"}}, "section: 'base_time'"),
+            ({"evaluator": {"failure_rate": None}}, "section: 'failure_rate'"),
+            ({"evaluator": {**external, "repetitions": "many"}}, "section: 'repetitions'"),
+            ({"evaluator": {**external, "timeout_s": [60]}}, "section: 'timeout_s'"),
         ]
         for overrides, field in cases:
             path = write_experiment(experiment_dir, **overrides)
@@ -175,31 +236,36 @@ class TestLoadExperimentConfig:
             "run_cmd": "{out}",
         }
         cases = [
-            ({"base_time": -1}, "'evaluator.base_time' must be > 0"),
-            ({"base_time": 0}, "'evaluator.base_time' must be > 0"),
-            ({"base_time": float("nan")}, "'evaluator.base_time' must be > 0"),
-            ({"failure_rate": 1.5}, r"'evaluator.failure_rate' must be in \[0, 1\)"),
-            ({"failure_rate": 1}, r"'evaluator.failure_rate' must be in \[0, 1\)"),
-            ({"failure_rate": -0.1}, r"'evaluator.failure_rate' must be in \[0, 1\)"),
-            ({**external, "repetitions": 0}, "'evaluator.repetitions' must be >= 1"),
-            ({**external, "timeout_s": 0}, "'evaluator.timeout_s' must be > 0"),
-            ({**external, "timeout_s": -5}, "'evaluator.timeout_s' must be > 0"),
+            ({"base_time": -1}, "'base_time' must be > 0"),
+            ({"base_time": 0}, "'base_time' must be > 0"),
+            ({"base_time": float("nan")}, "'base_time' must be > 0"),
+            ({"failure_rate": 1.5}, r"'failure_rate' must be in \[0, 1\)"),
+            ({"failure_rate": 1}, r"'failure_rate' must be in \[0, 1\)"),
+            ({"failure_rate": -0.1}, r"'failure_rate' must be in \[0, 1\)"),
+            ({**external, "repetitions": 0}, "'repetitions' must be >= 1"),
+            ({**external, "timeout_s": 0}, "'timeout_s' must be > 0"),
+            ({**external, "timeout_s": -5}, "'timeout_s' must be > 0"),
         ]
         for evaluator, message in cases:
             path = write_experiment(experiment_dir, evaluator=evaluator)
-            with pytest.raises(ExperimentConfigError, match=message):
+            with pytest.raises(ExperimentConfigError, match="bad 'evaluator' section: " + message):
                 load_experiment_config(path)
         edges = {**external, "repetitions": 1, "timeout_s": 0.5}
         assert load_experiment_config(write_experiment(experiment_dir, evaluator=edges))
 
     def test_numeric_fields_load_as_numbers(self, experiment_dir):
         path = write_experiment(
-            experiment_dir, seed="12", out="run", evaluator={"base_time": 2, "failure_rate": 0}
+            experiment_dir, seed=12, out="run", evaluator={"base_time": 2, "failure_rate": 0}
         )
         config = load_experiment_config(path)
         assert config.seed == 12 and config.out_dir == "run"
         assert config.evaluator["base_time"] == 2.0
-        assert build_evaluator(config)[0].failure_rate == 0.0
+        landscape = build_evaluator(config)[0]
+        assert landscape.failure_rate == 0.0 and type(landscape.failure_rate) is float
+        assert type(landscape.base_time) is float
+        # A string is never read as a number.
+        with pytest.raises(ExperimentConfigError, match="'seed' must be int"):
+            load_experiment_config(write_experiment(experiment_dir, seed="12"))
 
     def test_external_evaluator_loads_the_template(self, experiment_dir):
         (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
@@ -236,6 +302,16 @@ class TestBuildEvaluator:
             )
         )[0]
         assert explicit.seed == 99
+
+    @pytest.mark.parametrize("seed", [1.0, True, "x"])
+    def test_a_landscape_seed_must_be_an_integer(self, experiment_dir, seed):
+        # The landscape hashes its seed's text: 1.0 and true would build
+        # other landscapes than 1.
+        path = write_experiment(experiment_dir, evaluator={"seed": seed})
+        with pytest.raises(ExperimentConfigError, match="'evaluator' section: 'seed' must be"):
+            load_experiment_config(path)
+        with pytest.raises(TypeError, match="'seed' must be int"):
+            SyntheticLandscape(seed=seed)
 
 
 class TestRunExperiment:
@@ -519,12 +595,19 @@ class TestCli:
     def test_bad_scalar_field_exits_with_two(self, experiment_dir, capsys):
         path = write_experiment(experiment_dir, seed="abc")
         assert main(["tune", "--config", str(path)]) == 2
-        assert "error: 'seed' must be a number" in capsys.readouterr().err
+        assert "error: 'seed' must be int" in capsys.readouterr().err
 
     def test_out_of_range_field_exits_with_two(self, experiment_dir, capsys):
         path = write_experiment(experiment_dir, evaluator={"base_time": -1})
         assert main(["tune", "--config", str(path)]) == 2
-        assert "error: 'evaluator.base_time' must be > 0" in capsys.readouterr().err
+        assert "error: bad 'evaluator' section: 'base_time' must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("search", "c"), ("budget", "max_wall_clock_s")])
+    def test_a_nan_bound_exits_with_two(self, experiment_dir, capsys, section, key):
+        # NaN fails every comparison, so a "reject if below" check lets it through.
+        path = write_experiment(experiment_dir, **{section: {key: float("nan")}})
+        assert main(["tune", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad '{section}' section: {key} must be")
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -547,7 +630,7 @@ class TestCli:
         path = write_experiment(experiment_dir, **{section: {key: value}})
         assert main(["tune", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad '{section}' section: ") and "integer" in err
+        assert err.startswith(f"error: bad '{section}' section: '{key}' must be ") and "int" in err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -565,12 +648,66 @@ class TestCli:
         assert main(["tune", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: bad 'space' section: ")
 
+    @pytest.mark.parametrize("overrides, name", list(wrong_type_cases()))
+    def test_a_wrong_typed_field_exits_with_two(self, experiment_dir, capsys, overrides, name):
+        (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
+        path = write_experiment(experiment_dir, **overrides)
+        assert main(["tune", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{name}'" in err
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"methd": "rs"}, "methd"),
+            ({"evaluator": {"failure_rat": 0.5}}, "failure_rat"),
+            ({"evaluator": {**EXTERNAL, "repetition": 3}}, "repetition"),
+        ],
+    )
+    def test_an_unknown_key_exits_with_two(self, experiment_dir, capsys, overrides, name):
+        (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
+        path = write_experiment(experiment_dir, **overrides)
+        assert main(["tune", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "demos/experiment.json",
+            "bench/workloads/mcts_restart.json",
+            "bench/workloads/external_gcc.json",
+        ],
+    )
+    def test_every_committed_experiment_file_loads(self, config):
+        assert load_experiment_config(REPO / config).evaluator["type"] in ("synthetic", "external")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("compile_cmd", "cc {sr} -o {out}"),
+            ("compile_cmd", ""),
+            ("run_cmd", "{out} {0}"),
+            ("run_cmd", "{out.name}"),
+            ("run_cmd", "'{out}"),
+            ("reject_pattern", "("),
+        ],
+    )
+    def test_a_broken_command_or_pattern_exits_with_two_at_load(
+        self, experiment_dir, capsys, key, value
+    ):
+        (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
+        path = write_experiment(experiment_dir, evaluator={**EXTERNAL, key: value})
+        assert main(["tune", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad 'evaluator' section: '{key}'") and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["no", 0, 1])
     def test_a_non_boolean_monotone_target_exits_with_two(self, experiment_dir, capsys, value):
         path = write_experiment(experiment_dir, reward={"monotone_target": value})
         assert main(["tune", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad 'reward' section: ") and "boolean" in err
+        assert err.startswith("error: bad 'reward' section: 'monotone_target' must be bool")
 
     def test_a_cutoff_over_no_successful_record_exits_with_two(self, experiment_dir, capsys):
         empty = experiment_dir / "empty.jsonl"
