@@ -16,7 +16,6 @@ from pragmatune import (
     CachedEvaluator,
     MctsParams,
     SearchSession,
-    SimulatedClock,
     SpaceParams,
     SyntheticLandscape,
     breadth_first,
@@ -35,15 +34,17 @@ MASTER_SEED = 7
 
 nest = load_loop_nest((HERE / "matscale_nest.json").read_text())
 space = SpaceParams()
+# On a synthetic run, max_wall_clock_s (unset here) would bound simulated
+# seconds, the summed runtimes of the fresh measurements.
 budget = Budget(max_unique=200, max_iterations=20_000)
 
 
 def fresh_session(method):
     # Each method gets its own cache over the same landscape, so they
-    # compete on equal footing; the simulated clock advances by each
-    # fresh measurement's runtime, keeping logs deterministic.
+    # compete on equal footing; a simulated session's time advances by
+    # each fresh measurement's runtime, keeping logs deterministic.
     landscape = SyntheticLandscape(seed=derive_seed(MASTER_SEED, "landscape"))
-    return SearchSession(CachedEvaluator(landscape), budget, SimulatedClock(), method)
+    return SearchSession(CachedEvaluator(landscape), budget, method, simulated=True)
 
 
 def report(session):

@@ -43,7 +43,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"log lines: {len(replayed)} (root baseline + every fresh evaluation)")
 
     # Identical config + seed means identical logs, byte for byte: the
-    # synthetic evaluator is pure and the clock is simulated.
+    # synthetic evaluator is pure and the run's time is simulated.
     with tempfile.TemporaryDirectory() as tmp2:
         run_experiment(replace(config, out_dir=tmp2))
         first = (Path(tmp) / "log.jsonl").read_bytes()

@@ -70,3 +70,17 @@ def check_fields(obj: object) -> None:
             raise TypeError(f"'{f.name}' must be {f.type}, got {value!r}")
         if f.type == "float":
             object.__setattr__(obj, f.name, float(value))
+
+
+def from_json(cls, doc: object, what: str, error: type[PragmatuneError]):
+    """``cls`` built from the JSON object ``doc``, each list as a tuple.
+
+    Anything ``cls`` rejects (not an object, an unknown or missing key,
+    a wrong type, a bad value) raises ``error`` as "bad <what>: ...".
+    """
+    try:
+        if not isinstance(doc, dict):
+            raise TypeError("must be an object")
+        return cls(**{k: tuple(v) if type(v) is list else v for k, v in doc.items()})
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad {what}: {exc}") from exc

@@ -263,22 +263,11 @@ class SyntheticLandscape:
 
 
 class CachedEvaluator:
-    """Memoize an evaluator by configuration key; failures cache too.
-
-    ``unique_count`` is the number of distinct configurations measured,
-    which is also how many times the inner evaluator ran.
-    """
+    """Memoize an evaluator by configuration key; failures cache too."""
 
     def __init__(self, inner: Evaluator):
         self._inner = inner
         self._outcomes: dict[str, Outcome] = {}
-
-    @property
-    def unique_count(self) -> int:
-        return len(self._outcomes)
-
-    def seen(self, config: Configuration) -> bool:
-        return config.key in self._outcomes
 
     def evaluate(self, config: Configuration) -> Outcome:
         key = config.key

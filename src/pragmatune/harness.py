@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import baselines, mcts
-from .errors import ExperimentConfigError, check_fields
+from .errors import ExperimentConfigError, check_fields, from_json
 from .evaluators import (
     CachedEvaluator,
     ExternalJobSpec,
@@ -34,7 +34,7 @@ from .loops import LoopNest, load_loop_nest
 from .mcts import MctsParams
 from .reports import write_log
 from .reward import RewardParams
-from .session import Budget, EvalRecord, MonotonicClock, SearchSession, SimulatedClock
+from .session import Budget, EvalRecord, SearchSession
 from .space import SpaceParams
 
 logger = logging.getLogger("pragmatune")
@@ -98,23 +98,14 @@ _SECTIONS = {"budget": Budget, "space": SpaceParams, "reward": RewardParams, "se
 _KEYS = {"version", "nest", "method", "seed", "evaluator", "out", *_SECTIONS}
 
 
-def _take(section: object, key: str, cls):
-    """``cls`` built from the object ``section``, each JSON list as a tuple."""
-    if not isinstance(section, dict):
-        raise ExperimentConfigError(f"'{key}' must be an object")
-    try:
-        return cls(**{k: tuple(v) if type(v) is list else v for k, v in section.items()})
-    except (TypeError, ValueError) as exc:
-        raise ExperimentConfigError(f"bad '{key}' section: {exc}") from exc
-
-
 def _evaluator_spec(section: object) -> SyntheticSpec | ExternalJobSpec:
     """The spec an evaluator section describes; its ``type`` picks the class."""
     kind = section.get("type", "synthetic") if isinstance(section, dict) else None
     if kind not in ("synthetic", "external"):
         raise ExperimentConfigError("'evaluator' must be a 'synthetic' or 'external' object")
     knobs = {k: v for k, v in section.items() if k != "type"}
-    return _take(knobs, "evaluator", SyntheticSpec if kind == "synthetic" else ExternalJobSpec)
+    cls = SyntheticSpec if kind == "synthetic" else ExternalJobSpec
+    return from_json(cls, knobs, "'evaluator' section", ExperimentConfigError)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -146,7 +137,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         except OSError as exc:
             raise ExperimentConfigError(f"cannot read source template: {exc}") from exc
         evaluator = {**evaluator, "source_template": template}
-    sections = {key: _take(doc.get(key, {}), key, cls) for key, cls in _SECTIONS.items()}
+    sections = {
+        key: from_json(cls, doc.get(key, {}), f"'{key}' section", ExperimentConfigError)
+        for key, cls in _SECTIONS.items()
+    }
     try:
         return ExperimentConfig(
             nest_text=nest_text,
@@ -184,12 +178,12 @@ class ExperimentSummary:
 
 
 def build_evaluator(config: ExperimentConfig):
-    """The inner evaluator plus the clock matching its determinism."""
+    """The inner evaluator, and whether its run keeps simulated time (synthetic ones do)."""
     spec = _evaluator_spec(config.evaluator)
     if isinstance(spec, ExternalJobSpec):
-        return functools.partial(evaluate_external, job=spec), MonotonicClock()
+        return functools.partial(evaluate_external, job=spec), False
     seed = derive_seed(config.seed, "landscape") if spec.seed is None else spec.seed
-    return SyntheticLandscape(seed, spec.base_time, spec.failure_rate), SimulatedClock()
+    return SyntheticLandscape(seed, spec.base_time, spec.failure_rate), True
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -198,6 +192,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     Once the root is measured, the log and summary are written however
     the search ends; an exception leaving it sets the stop reason to
     ``interrupted`` (KeyboardInterrupt) or ``error``, then propagates.
+    Either way the run ends with one info log line: its stop reason,
+    unique evaluations, phases and elapsed time.
 
     Cyclic garbage collection is off during the search, then restored:
     a search makes no reference cycles per evaluation, so reference
@@ -205,9 +201,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     live objects.
     """
     nest = load_loop_nest(config.nest_text)
-    evaluator, clock = build_evaluator(config)
+    evaluator, simulated = build_evaluator(config)
     session = SearchSession(
-        CachedEvaluator(evaluator), config.budget, clock, method=config.method
+        CachedEvaluator(evaluator), config.budget, config.method, simulated=simulated
     )
     logger.info("run: method=%s seed=%d", config.method, config.seed)
     gc_was_enabled = gc.isenabled()
@@ -222,6 +218,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             gc.enable()
         if session.best is not None:
             summary = _summarize(config, session)
+        logger.info(
+            "end: method=%s seed=%d stop_reason=%s unique=%d phases=%d elapsed=%.3fs",
+            config.method,
+            config.seed,
+            session.stop_reason,
+            session.unique_evaluations,
+            session.phases,
+            session.elapsed(),
+        )
     return summary
 
 
@@ -236,7 +241,7 @@ def _summarize(config: ExperimentConfig, session: SearchSession) -> ExperimentSu
         best_depth=best.depth,
         best_pragmas=best.pragmas,
         unique_evaluations=session.unique_evaluations,
-        wall_clock_s=session.clock.elapsed(),
+        wall_clock_s=session.elapsed(),
         phases=session.phases,
         stop_reason=session.stop_reason,
         records=records,

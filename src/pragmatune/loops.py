@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterator, NamedTuple, Union
 
-from .errors import DuplicateLoopIdError, InvalidTargetError, NestParseError
+from .errors import (
+    DuplicateLoopIdError,
+    InvalidTargetError,
+    NestParseError,
+    check_fields,
+    from_json,
+)
 
 # Joins a parent loop id with the "f"/"t" suffix of loops created by
 # tiling, so document ids may not contain it.
@@ -194,24 +200,39 @@ def is_floor_lineage(loop_id: str) -> bool:
     return all(part == "f" for part in loop_id.split(ID_SEP)[1:])
 
 
-def _parsed_loop(entry: object, seen: set[str]) -> Loop:
+@dataclass(frozen=True)
+class _LoopEntry:
+    """One loop entry of a nest document; its children are entries too."""
+
+    id: str
+    children: tuple[dict, ...] = ()
+    transformable: bool = True
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if not self.id or ID_SEP in self.id:
+            raise ValueError(f"loop id must be non-empty and contain no '.': {self.id!r}")
+
+
+@dataclass(frozen=True)
+class _NestDocument:
+    loops: tuple[dict, ...]
+    arrays: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if not all(self.arrays) or len(set(self.arrays)) != len(self.arrays):
+            raise ValueError("'arrays' must be non-empty names, none repeated")
+
+
+def _parsed_loop(doc: object, seen: set[str]) -> Loop:
     """One loop entry and its children; ``seen`` collects the ids parsed so far."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-        raise NestParseError(f"loop entry must be an object with an 'id': {entry!r}")
-    loop_id = entry["id"]
-    if not loop_id or ID_SEP in loop_id:
-        raise NestParseError(f"loop id must be non-empty and contain no '.': {loop_id!r}")
-    if loop_id in seen:
-        raise DuplicateLoopIdError(f"duplicate loop id {loop_id!r}")
-    seen.add(loop_id)
-    children = entry.get("children", [])
-    if not isinstance(children, list):
-        raise NestParseError(f"'children' of {loop_id!r} must be a list")
-    return Loop(
-        id=loop_id,
-        children=tuple(_parsed_loop(c, seen) for c in children),
-        transformable=bool(entry.get("transformable", True)),
-    )
+    entry = from_json(_LoopEntry, doc, "loop entry", NestParseError)
+    if entry.id in seen:
+        raise DuplicateLoopIdError(f"duplicate loop id {entry.id!r}")
+    seen.add(entry.id)
+    children = tuple(_parsed_loop(c, seen) for c in entry.children)
+    return Loop(entry.id, children, entry.transformable)
 
 
 def load_loop_nest(text: str) -> LoopNest:
@@ -219,22 +240,16 @@ def load_loop_nest(text: str) -> LoopNest:
 
     Each loop entry holds ``id``, optional ``children`` (nested entries),
     and an optional ``transformable`` flag (default true). Ids must be
-    unique, non-empty, and free of ".".
+    unique, non-empty, and free of ".". Every field follows the config
+    type rule (``errors.check_fields``), and an unknown key is an error.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NestParseError(f"invalid nest document: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("loops"), list):
-        raise NestParseError("nest document must be an object with a 'loops' list")
+    doc = from_json(_NestDocument, doc, "nest document", NestParseError)
     seen: set[str] = set()
-    roots = tuple(_parsed_loop(e, seen) for e in doc["loops"])
-    arrays = doc.get("arrays", [])
-    if not isinstance(arrays, list) or not all(isinstance(a, str) and a for a in arrays):
-        raise NestParseError("'arrays' must be a list of non-empty strings")
-    if len(set(arrays)) != len(arrays):
-        raise NestParseError("'arrays' must not repeat names")
-    return LoopNest(roots=roots, arrays=tuple(arrays))
+    return LoopNest(tuple(_parsed_loop(entry, seen) for entry in doc.loops), doc.arrays)
 
 
 def _continues_chain(loop: Loop, parent: Loop | None) -> bool:

@@ -1,20 +1,24 @@
-"""Shared run bookkeeping: budget, clocks, and the evaluation records.
+"""Shared run bookkeeping: budget, the run's time, and the evaluation records.
 
 Every searcher drives a SearchSession: it owns the evaluation cache,
 spends the global budget (each ``measure`` is one iteration, refused
 once a bound trips), tracks the best configuration, keeps one
 EvalRecord per fresh evaluation, each one line of the run log (cache
-hits produce nothing), and records why the run stopped. Ranking the
-records for history transfer is left to the searcher that transfers.
-Searchers return nothing: the session is the result.
-The root baseline is measured once per run and does not consume budget.
+hits produce nothing), keeps the run's time, and records why the run
+stopped. Ranking the records for history transfer is left to the
+searcher that transfers. Searchers return nothing: the session is the
+result. The root baseline is measured once per run and does not consume
+budget.
+
+A simulated session's time is the sum of its successful fresh
+measurements' seconds, so synthetic logs (wall-clock column included)
+are byte-identical across repeats; a real one reads the host's clock.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .errors import RootEvaluationError, check_fields
 from .evaluators import CachedEvaluator, CompileFailure, Outcome, RunFailure, Time
@@ -31,6 +35,8 @@ class Budget:
     baseline. ``max_iterations`` (optional) allows n iterations, each a
     ``SearchSession.measure`` that may measure, cache hits included; finite
     spaces need it because a saturated cache spends no unique budget.
+    ``max_wall_clock_s`` bounds ``SearchSession.elapsed``, which is in
+    simulated seconds on a synthetic run.
     """
 
     max_unique: int = 1000
@@ -45,36 +51,6 @@ class Budget:
             raise ValueError("max_wall_clock_s must be positive")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1 when set")
-
-
-class MonotonicClock:
-    """Real elapsed time, for external measurements."""
-
-    def __init__(self) -> None:
-        self._start = time.monotonic()
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self._start
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-
-class SimulatedClock:
-    """Deterministic clock that advances by each fresh measurement's time.
-
-    Synthetic runs use it so logs (wall-clock column included) are
-    byte-identical across repeats of the same configuration and seed.
-    """
-
-    def __init__(self) -> None:
-        self._elapsed = 0.0
-
-    def elapsed(self) -> float:
-        return self._elapsed
-
-    def advance(self, seconds: float) -> None:
-        self._elapsed += seconds
 
 
 # The log name of each outcome type; a logged outcome is its name under
@@ -146,21 +122,17 @@ def record_from_dict(doc: dict) -> EvalRecord:
 
 
 class SearchSession:
-    """One search run: cache, budget, best-so-far, records, and why it stopped."""
+    """One search run: cache, budget, best-so-far, records, time, and why it stopped."""
 
     def __init__(
-        self,
-        cache: CachedEvaluator,
-        budget: Budget,
-        clock: MonotonicClock | SimulatedClock | None = None,
-        method: str = "",
-        sink: Callable[[EvalRecord], None] | None = None,
+        self, cache: CachedEvaluator, budget: Budget, method: str = "", *, simulated: bool = False
     ):
         self.cache = cache
         self.budget = budget
-        self.clock = clock or MonotonicClock()
         self.method = method
-        self._sink = sink
+        self.simulated = simulated
+        self._start = time.monotonic()
+        self._measured_s = 0.0  # successful fresh measurements' seconds, summed
         # Key -> record in measurement order, the root first; cache hits
         # look their record up here instead of building a new one.
         self._by_key: dict[str, EvalRecord] = {}
@@ -183,6 +155,10 @@ class SearchSession:
         """Unique configurations measured beyond the root baseline."""
         return max(0, len(self._by_key) - 1)
 
+    def elapsed(self) -> float:
+        """The run's time in seconds: simulated, or real since the session was built."""
+        return self._measured_s if self.simulated else time.monotonic() - self._start
+
     def count_iteration(self) -> None:
         self.iterations += 1
 
@@ -190,7 +166,7 @@ class SearchSession:
         """Whether a bound has tripped; if so, ``stop_reason`` names the first one."""
         if self.unique_evaluations >= self.budget.max_unique:
             self.stop_reason = "unique_budget"
-        elif self.clock.elapsed() >= self.budget.max_wall_clock_s:
+        elif self.elapsed() >= self.budget.max_wall_clock_s:
             self.stop_reason = "wall_clock"
         elif (
             self.budget.max_iterations is not None
@@ -244,12 +220,12 @@ class SearchSession:
         phase: int,
         target: TargetState | None,
     ) -> EvalRecord:
-        """Keep and emit the record of a fresh evaluation.
+        """Keep the record of a fresh evaluation.
 
         The logged ``f`` is the target after this evaluation's update,
         and ``best_so_far_h`` counts this evaluation.
         """
-        self.clock.advance(outcome.seconds if outcome.ok else 0.0)
+        self._measured_s += outcome.seconds if outcome.ok else 0.0
         f = None
         if target is not None:
             f = target.update(h) if h is not None else target.f
@@ -265,12 +241,10 @@ class SearchSession:
             f=f,
             best_so_far_h=h if improved else self.best.h,
             depth=config.depth,
-            wall_clock_s=self.clock.elapsed(),
+            wall_clock_s=self.elapsed(),
             config=config,
         )
         self._by_key[record.key] = record
         if improved:
             self.best = record
-        if self._sink is not None:
-            self._sink(record)
         return record

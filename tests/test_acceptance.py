@@ -48,7 +48,7 @@ from pragmatune.reward import (
     quantile_split,
     reward,
 )
-from pragmatune.session import Budget, SearchSession, SimulatedClock
+from pragmatune.session import Budget, SearchSession
 from pragmatune.space import (
     SpaceParams,
     child,
@@ -61,6 +61,7 @@ from pragmatune.space import (
 from helpers import (
     chain_nest,
     consistent_playouts,
+    counting,
     entry_records,
     eval_record,
     make_root,
@@ -200,8 +201,8 @@ def test_criterion_04_finds_the_known_global_optimum():
             session = SearchSession(
                 CachedEvaluator(landscape),
                 Budget(max_unique=500, max_iterations=30_000),
-                SimulatedClock(),
                 method="mcts",
+                simulated=True,
             )
             params = MctsParams(space=space, per_run_budget=40, n_walks=30)
             search(
@@ -230,8 +231,8 @@ def test_criterion_05_beats_random_and_breadth_first():
                 return SearchSession(
                     CachedEvaluator(SyntheticLandscape(seed=landscape_seed)),
                     Budget(max_unique=300, max_iterations=30_000),
-                    SimulatedClock(),
                     method="x",
+                    simulated=True,
                 )
 
             session = fresh_session()
@@ -292,8 +293,8 @@ def test_criterion_06_restart_escapes_a_shallow_optimum():
         session = SearchSession(
             CachedEvaluator(landscape),
             Budget(max_unique=120, max_iterations=8_000),
-            SimulatedClock(),
             method="mcts",
+            simulated=True,
         )
         master = 4  # chosen so phase 0 converges onto the shallow trap
         search(
@@ -418,17 +419,11 @@ def test_criterion_09_history_transfer_without_evaluation():
         assert lower2 == [(0, 0, root_rec, ())]  # the root's identity mask is empty
         assert penalty_filter(lower2, upper2) == []
 
-        calls = 0
-
-        def counting_evaluator(config):
-            nonlocal calls
-            calls += 1
-            return Time(1.0)
-
-        cache = CachedEvaluator(counting_evaluator)
+        calls = []
+        cache = CachedEvaluator(counting(lambda config: Time(1.0), calls))
         tree = make_root(nest, params)
         apply_transfer(tree, ranked_history(history, nest, params.space), params)
-        assert calls == 0 and cache.unique_count == 0
+        assert calls == []  # the cache's inner evaluator never ran
 
         by_key = {c.space.key: c for c in tree.children.values()}
         reinforced = by_key["tile(i0;256;peel)"]
@@ -477,8 +472,8 @@ def test_criterion_10_randomized_invariants():
             session = SearchSession(
                 CachedEvaluator(SyntheticLandscape(seed=seed)),
                 Budget(max_unique=80, max_iterations=5_000),
-                SimulatedClock(),
                 method="mcts",
+                simulated=True,
             )
             with consistent_playouts() as playouts:
                 search(

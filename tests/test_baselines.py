@@ -13,7 +13,7 @@ from pragmatune.evaluators import (
     Time,
 )
 from pragmatune.loops import Reverse, Unroll, load_loop_nest
-from pragmatune.session import Budget, SearchSession, SimulatedClock
+from pragmatune.session import Budget, SearchSession
 from pragmatune.space import SpaceParams, child_count, root_node
 
 from helpers import chain_nest
@@ -36,8 +36,8 @@ def make_session(evaluator, **budget):
     return SearchSession(
         CachedEvaluator(evaluator),
         Budget(**budget),
-        clock=SimulatedClock(),
         method="test",
+        simulated=True,
     )
 
 

@@ -5,10 +5,12 @@ import gc
 import json
 import logging
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from pragmatune import harness
+from pragmatune import session as session_module
 from pragmatune.cli import main
 from pragmatune.errors import ExperimentConfigError, RootEvaluationError
 from pragmatune.evaluators import CompileFailure, ExternalJobSpec, SyntheticLandscape, SyntheticSpec
@@ -25,7 +27,7 @@ from pragmatune.harness import (
 from pragmatune.mcts import MctsParams
 from pragmatune.reports import read_log, write_log
 from pragmatune.reward import RewardParams
-from pragmatune.session import Budget, MonotonicClock, SimulatedClock
+from pragmatune.session import Budget
 from pragmatune.space import SpaceParams
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,7 +52,7 @@ def raise_on_call(monkeypatch, k, exc):
     """
 
     def build(config, build=harness.build_evaluator):
-        landscape, clock = build(config)
+        landscape, simulated = build(config)
         calls = 0
 
         def evaluate(cfg):
@@ -60,7 +62,7 @@ def raise_on_call(monkeypatch, k, exc):
                 raise exc
             return landscape(cfg)
 
-        return evaluate, clock
+        return evaluate, simulated
 
     monkeypatch.setattr(harness, "build_evaluator", build)
 
@@ -280,17 +282,17 @@ class TestLoadExperimentConfig:
         )
         config = load_experiment_config(path)
         assert "/*@loop:i*/" in config.evaluator["source_template"]
-        evaluator, clock = build_evaluator(config)
-        assert isinstance(clock, MonotonicClock)
+        evaluator, simulated = build_evaluator(config)
+        assert simulated is False  # external runs keep real time
         assert evaluator.keywords["job"].compile_cmd == "cc {src} -o {out}"
 
 
 class TestBuildEvaluator:
     def test_synthetic_gets_a_simulated_clock(self, experiment_dir):
         config = load_experiment_config(write_experiment(experiment_dir))
-        evaluator, clock = build_evaluator(config)
+        evaluator, simulated = build_evaluator(config)
         assert isinstance(evaluator, SyntheticLandscape)
-        assert isinstance(clock, SimulatedClock)
+        assert simulated is True
 
     def test_landscape_seed_follows_the_master_seed(self, experiment_dir):
         a = build_evaluator(load_experiment_config(write_experiment(experiment_dir, seed=1)))[0]
@@ -356,13 +358,13 @@ class TestRunExperiment:
         states = []
 
         def watched(config, build=harness.build_evaluator):
-            landscape, clock = build(config)
+            landscape, simulated = build(config)
 
             def evaluate(cfg):
                 states.append(gc.isenabled())
                 return CompileFailure("no baseline") if fail_root else landscape(cfg)
 
-            return evaluate, clock
+            return evaluate, simulated
 
         monkeypatch.setattr(harness, "build_evaluator", watched)
         config = load_experiment_config(write_experiment(experiment_dir))
@@ -463,7 +465,7 @@ class TestRunExperiment:
 
     def test_a_failing_root_writes_nothing(self, experiment_dir, monkeypatch):
         out = experiment_dir / "run"
-        failing_root = (lambda cfg: CompileFailure("no baseline"), SimulatedClock())
+        failing_root = (lambda cfg: CompileFailure("no baseline"), True)
         monkeypatch.setattr(harness, "build_evaluator", lambda config: failing_root)
         with pytest.raises(RootEvaluationError):
             run_experiment(load_experiment_config(write_experiment(experiment_dir, out=str(out))))
@@ -477,6 +479,79 @@ class TestRunExperiment:
             run_experiment(config)
             texts.append((out / "log.jsonl").read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestRunTime:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_synthetic_time_is_the_running_sum_of_fresh_successes(self, experiment_dir, method):
+        budget = {"max_unique": 30, "max_iterations": 3000}
+        path = write_experiment(experiment_dir, method=method, budget=budget)
+        summary = run_experiment(load_experiment_config(path))
+        running = 0.0
+        for record in summary.records:
+            running += record.outcome.seconds if record.outcome.ok else 0.0
+            assert record.wall_clock_s == running  # failures add nothing
+        assert any(not r.outcome.ok for r in summary.records)
+        assert summary.wall_clock_s == summary.records[-1].wall_clock_s
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_a_real_time_bound_stops_the_run_with_wall_clock(
+        self, experiment_dir, monkeypatch, method
+    ):
+        now = [0.0]
+        monkeypatch.setattr(session_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+        def build(config, build=harness.build_evaluator):
+            landscape, _ = build(config)
+
+            def evaluate(cfg):
+                now[0] += 1.0  # each evaluation takes one second of host time
+                return landscape(cfg)
+
+            return evaluate, False
+
+        monkeypatch.setattr(harness, "build_evaluator", build)
+        budget = {"max_unique": 1000, "max_wall_clock_s": 5.0, "max_iterations": 10_000}
+        path = write_experiment(experiment_dir, method=method, budget=budget)
+        summary = run_experiment(load_experiment_config(path))
+        assert summary.stop_reason == "wall_clock"
+        assert [r.wall_clock_s for r in summary.records] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert summary.wall_clock_s == 5.0
+
+
+class TestEndOfRunLog:
+    @staticmethod
+    def messages(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.name == "pragmatune"]
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method_ends_with_one_info_line(self, experiment_dir, caplog, method):
+        caplog.set_level(logging.INFO, logger="pragmatune")
+        out = experiment_dir / "run"
+        budget = {"max_unique": 10, "max_iterations": 200}
+        path = write_experiment(experiment_dir, method=method, budget=budget, out=str(out))
+        summary = run_experiment(load_experiment_config(path))
+        lines = self.messages(caplog)
+        assert lines[-2].startswith("wrote ")  # after the summary
+        assert lines[-1] == (
+            f"end: method={method} seed=7 stop_reason={summary.stop_reason} unique=10 "
+            f"phases={summary.phases} elapsed={summary.wall_clock_s:.3f}s"
+        )
+        assert sum(line.startswith("end: ") for line in lines) == 1
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize(
+        "exc,reason", [(KeyboardInterrupt(), "interrupted"), (OSError("disk gone"), "error")]
+    )
+    def test_a_run_that_raises_still_logs_its_end(
+        self, experiment_dir, monkeypatch, caplog, method, exc, reason
+    ):
+        caplog.set_level(logging.INFO, logger="pragmatune")
+        raise_on_call(monkeypatch, 4, exc)
+        with pytest.raises(type(exc)):
+            run_experiment(load_experiment_config(write_experiment(experiment_dir, method=method)))
+        end = self.messages(caplog)[-1]
+        assert end.startswith(f"end: method={method} seed=7 stop_reason={reason} unique=3 ")
 
 
 class TestConfigureLogging:
@@ -701,6 +776,24 @@ class TestCli:
         assert main(["tune", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad 'evaluator' section: '{key}'") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "nest, named",
+        [
+            ({"loops": [{"id": "i", "transformable": "no"}]}, "'transformable'"),
+            ({"loops": [{"id": "i", "transformable": 0}]}, "'transformable'"),
+            ({"loops": [{"id": "i", "childern": [{"id": "j"}]}]}, "'childern'"),
+            ({"loops": [{"id": "i", "transformible": False}]}, "'transformible'"),
+            ({"loops": [{"id": "i"}], "array": ["A"]}, "'array'"),
+        ],
+    )
+    def test_a_wrong_typed_or_unknown_nest_field_exits_with_two(
+        self, experiment_dir, capsys, nest, named
+    ):
+        (experiment_dir / "nest.json").write_text(json.dumps(nest))
+        assert main(["tune", "--config", str(write_experiment(experiment_dir))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["no", 0, 1])
     def test_a_non_boolean_monotone_target_exits_with_two(self, experiment_dir, capsys, value):

@@ -1,6 +1,7 @@
 """Loop-nest model: parsing, transformation semantics, configurations."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,9 @@ from pragmatune.loops import (
 )
 
 from helpers import chain_nest
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def nest_doc(**kwargs) -> str:
@@ -104,6 +108,32 @@ class TestLoadLoopNest:
             load_loop_nest(nest_doc(loops=[{"id": "i"}], arrays=[""]))
         with pytest.raises(NestParseError):
             load_loop_nest(nest_doc(loops=[{"id": "i"}], arrays="AB"))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"loops": [{"id": "i", "transformable": "no"}]}, "'transformable' must be bool"),
+            ({"loops": [{"id": "i", "transformable": 0}]}, "'transformable' must be bool"),
+            ({"loops": [{"id": "i", "childern": [{"id": "j"}]}]}, "'childern'"),
+            ({"loops": [{"id": "i", "transformible": False}]}, "'transformible'"),
+            ({"loops": [{"id": "i"}], "array": ["A"]}, "'array'"),
+        ],
+    )
+    def test_every_field_follows_the_config_type_rule(self, doc, message):
+        # Each of these parsed at the parent: a truthy string or a 0 set
+        # the flag, and a misspelt key was ignored (dropping a subtree,
+        # or every pack step for a misspelt "arrays").
+        with pytest.raises(NestParseError, match=message):
+            load_loop_nest(json.dumps(doc))
+
+    def test_committed_nests_parse_as_before(self):
+        j = Loop("j")
+        assert load_loop_nest((REPO / "demos" / "matscale_nest.json").read_text()) == LoopNest(
+            (Loop("i", (j,)),), ("A",)
+        )
+        k = Loop("k")
+        chain3 = (REPO / "bench" / "workloads" / "chain3_nest.json").read_text()
+        assert load_loop_nest(chain3) == LoopNest((Loop("i", (Loop("j", (k,)),)),), ("A", "B"))
 
 
 class TestPerfectNests:

@@ -46,7 +46,7 @@ from pragmatune.mcts import (
     select,
 )
 from pragmatune.reward import RewardParams, TargetState
-from pragmatune.session import Budget, SearchSession, SimulatedClock
+from pragmatune.session import Budget, SearchSession
 from pragmatune.space import SpaceParams
 
 from helpers import (
@@ -90,8 +90,8 @@ def make_session(evaluator, max_unique=50, **budget_overrides):
     return SearchSession(
         CachedEvaluator(evaluator),
         Budget(max_unique=max_unique, **budget_overrides),
-        clock=SimulatedClock(),
         method="mcts",
+        simulated=True,
     )
 
 
@@ -780,7 +780,7 @@ class TestPhaseEnd:
         nest, space_params, budget, knobs = PHASE_END_RUNS[reason]
         caplog.set_level(logging.DEBUG, logger="pragmatune")
         session = SearchSession(
-            CachedEvaluator(SyntheticLandscape(seed=3)), budget, SimulatedClock(), method="mcts"
+            CachedEvaluator(SyntheticLandscape(seed=3)), budget, "mcts", simulated=True
         )
         params = MctsParams(space=space_params, **knobs)
         search(session, params, nest, random.Random(1), random.Random(2))

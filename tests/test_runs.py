@@ -20,7 +20,7 @@ from pragmatune import mcts
 from pragmatune.mcts import MctsParams
 from pragmatune.reports import read_log, write_log
 from pragmatune.reward import RankedHistory
-from pragmatune.session import Budget, SearchSession, SimulatedClock
+from pragmatune.session import Budget, SearchSession
 from pragmatune.space import child, child_index, root_node
 
 from helpers import chain_nest, consistent_playouts, random_nest, random_params
@@ -46,8 +46,8 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
     session = SearchSession(
         CachedEvaluator(SyntheticLandscape(seed=rng.randrange(2**32))),
         Budget(max_unique=max_unique, max_iterations=max_iterations),
-        SimulatedClock(),
         method=method,
+        simulated=True,
     )
     space_nodes = []  # mcts: the run's space nodes, which keep its history
     make_nodes = mcts._SpaceNodes
@@ -103,8 +103,8 @@ def test_only_mcts_ranks_its_records(method):
     session = SearchSession(
         CachedEvaluator(SyntheticLandscape(seed=1)),
         Budget(max_unique=40, max_iterations=4000),
-        SimulatedClock(),
         method=method,
+        simulated=True,
     )
     config = ExperimentConfig(
         nest_text="", method=method, seed=1, search=MctsParams(per_run_budget=10, n_walks=3)

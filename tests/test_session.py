@@ -1,7 +1,10 @@
-"""Session bookkeeping: budget, clocks, caching, best tracking, records."""
+"""Session bookkeeping: budget, the run's time, caching, best tracking, records."""
+
+from types import SimpleNamespace
 
 import pytest
 
+from pragmatune import session as session_module
 from pragmatune.errors import RootEvaluationError
 from pragmatune.evaluators import (
     CachedEvaluator,
@@ -15,9 +18,7 @@ from pragmatune.reward import RewardParams, TargetState, quantile_split
 from pragmatune.session import (
     Budget,
     EvalRecord,
-    MonotonicClock,
     SearchSession,
-    SimulatedClock,
     record_from_dict,
 )
 
@@ -33,13 +34,9 @@ def halver(config):
     return Time(1.0 if not config.steps else 0.5)
 
 
-def session_with(evaluator, clock=None, sink=None, **budget):
+def session_with(evaluator, simulated=True, **budget):
     return SearchSession(
-        CachedEvaluator(evaluator),
-        Budget(**budget),
-        clock=clock or SimulatedClock(),
-        method="test",
-        sink=sink,
+        CachedEvaluator(evaluator), Budget(**budget), "test", simulated=simulated
     )
 
 
@@ -54,21 +51,35 @@ class TestBudget:
         assert Budget(max_iterations=None).max_iterations is None
 
 
-class TestClocks:
-    def test_simulated_clock_accumulates(self):
-        clock = SimulatedClock()
-        assert clock.elapsed() == 0.0
-        clock.advance(1.5)
-        clock.advance(0.25)
-        assert clock.elapsed() == 1.75
+class TestSessionTime:
+    def test_simulated_time_is_the_running_sum_of_fresh_successes(self):
+        times = {"": 1.5, "reverse(i)": 0.25, "unroll(i;2)": 0.1, "reverse(j)": 0.3}
+        session = session_with(lambda c: Time(times[c.key]) if c.key in times else RunFailure())
+        session.evaluate_root()
+        for step in (Reverse("i"), Tile("i", 8), Reverse("i"), Unroll("i", 2), Reverse("j")):
+            session.measure(cfg(step), phase=0)
+        running, expected = 0.0, []
+        for key in ["", "reverse(i)", "tile(i;8;nopeel)", "unroll(i;2)", "reverse(j)"]:
+            running += times.get(key, 0.0)  # the failed tile adds nothing
+            expected.append(running)
+        # One record per fresh evaluation (the cache hit on reverse(i)
+        # adds neither a record nor time), each the exact running sum.
+        assert [r.wall_clock_s for r in session.records] == expected
+        assert session.elapsed() == expected[-1]
 
-    def test_monotonic_clock_ignores_advance(self):
-        clock = MonotonicClock()
-        before = clock.elapsed()
-        clock.advance(100.0)
-        after = clock.elapsed()
-        assert after - before < 1.0
-        assert after >= before >= 0.0
+    def test_real_time_reads_the_host_clock_not_the_measured_seconds(self, monkeypatch):
+        now = [100.0]
+        monkeypatch.setattr(session_module, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        session = session_with(lambda c: Time(10.0), simulated=False, max_wall_clock_s=5.0)
+        root = session.evaluate_root()
+        assert root.wall_clock_s == session.elapsed() == 0.0  # 10 s measured, none passed
+        now[0] = 103.0
+        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        assert record.wall_clock_s == session.elapsed() == 3.0
+        now[0] = 105.0
+        assert session.measure(cfg(Unroll("i", 2)), phase=0) is None
+        assert session.stop_reason == "wall_clock"
+        assert session.unique_evaluations == 1
 
 
 class TestEvaluateRoot:
@@ -79,7 +90,7 @@ class TestEvaluateRoot:
         assert record.iteration == 0 and record.phase == 0
         assert session.root_time == 2.0
         assert session.unique_evaluations == 0  # the root is free
-        assert session.clock.elapsed() == 2.0
+        assert session.elapsed() == 2.0
         assert session.best is record
 
     def test_root_failure_raises(self):
@@ -107,14 +118,14 @@ class TestMeasure:
         session = session_with(halver)
         session.evaluate_root()
         session.measure(cfg(Reverse("i")), phase=0)
-        elapsed = session.clock.elapsed()
+        elapsed = session.elapsed()
         first = session.records[-1]
         again, fresh = session.measure(cfg(Reverse("i")), phase=3)
         assert not fresh
         assert again is first  # the first record, not a new one
         assert again.h == 2.0
         assert len(session.records) == 2
-        assert session.clock.elapsed() == elapsed
+        assert session.elapsed() == elapsed
         assert session.unique_evaluations == 1
 
     def test_failures_enter_history_without_h(self):
@@ -125,7 +136,7 @@ class TestMeasure:
         session.evaluate_root()
         record, _ = session.measure(cfg(Reverse("i")), phase=0)
         assert record.h is None and record.outcome == CompileFailure("no")
-        assert session.clock.elapsed() == 1.0  # failures cost no simulated time
+        assert session.elapsed() == 1.0  # failures cost no simulated time
         assert session.best.key == ""
 
     def test_a_tripped_bound_refuses_cached_and_unseen_alike(self):
@@ -219,11 +230,11 @@ class TestOutOfBudget:
 
 class TestLogging:
     def test_log_lines_carry_run_state(self):
-        lines = []
-        session = session_with(halver, sink=lines.append)
+        session = session_with(halver)
         target = TargetState(RewardParams())
         session.evaluate_root(target)
         session.measure(cfg(Tile("i", 32)), phase=2, target=target)
+        lines = session.records
         assert [l.key for l in lines] == ["", "tile(i;32;nopeel)"]
         assert lines[0].f == 1.0
         line = lines[-1]
@@ -234,7 +245,6 @@ class TestLogging:
         assert line.best_so_far_h == 2.0
         assert line.depth == 1
         assert line.wall_clock_s == 1.5
-        assert session.records == lines
 
     def test_result_record_round_trips_through_dicts(self):
         outcomes = [Time(0.25), CompileFailure("bad"), RunFailure("worse")]
