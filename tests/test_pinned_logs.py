@@ -3,7 +3,8 @@
 The digests are the sha256 of ``log.jsonl`` and ``summary.json`` for the
 demo experiment under every method and seeds 1-3 on the synthetic
 evaluator, and for a restart-heavy mcts run (11 phases, so history
-transfer replays onto ten fresh trees). Two runs of the same code matching each other (criterion 8)
+transfer replays onto ten fresh trees), once with the default penalty and
+once with a fractional one. Two runs of the same code matching each other (criterion 8)
 cannot catch a refactor that changes behaviour; these digests can. A
 change that means to alter the search re-pins them and says so in
 CHANGES.md. Every pinned run ends on its unique-evaluation budget.
@@ -17,6 +18,7 @@ import pytest
 
 from pragmatune.harness import ExperimentConfig, load_experiment_config, run_experiment
 from pragmatune.mcts import MctsParams
+from pragmatune.reward import RewardParams
 from pragmatune.session import Budget
 
 DEMO_EXPERIMENT = Path(__file__).resolve().parent.parent / "demos" / "experiment.json"
@@ -109,21 +111,52 @@ PINNED_RESTARTS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED_RESTARTS))
-def test_restart_heavy_mcts_outputs_are_pinned(tmp_path, seed):
+def run_restart_heavy(tmp_path, seed, reward=RewardParams()):
     config = ExperimentConfig(
         nest_text=CHAIN3_NEST,
         method="mcts",
         seed=seed,
         budget=Budget(max_unique=600, max_iterations=60000),
-        search=MctsParams(per_run_budget=60, n_walks=10),
+        search=MctsParams(per_run_budget=60, n_walks=10, reward=reward),
         out_dir=str(tmp_path),
     )
     summary = run_experiment(config)
     assert max(r.phase for r in summary.records) == 10
     assert summary.stop_reason == "unique_budget"
-    digests = (sha256(tmp_path / "log.jsonl"), sha256(tmp_path / "summary.json"))
-    assert digests == PINNED_RESTARTS[seed]
+    return sha256(tmp_path / "log.jsonl"), sha256(tmp_path / "summary.json")
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_RESTARTS))
+def test_restart_heavy_mcts_outputs_are_pinned(tmp_path, seed):
+    assert run_restart_heavy(tmp_path, seed) == PINNED_RESTARTS[seed]
+
+
+# The same runs with a penalty that is not a power of two, so a node's
+# summed reward depends on the order of its additions (with the default
+# -1.0 every sum is a whole number). On seed 1, ten of the eleven phases
+# transfer both upper-tail and penalized records. The penalty's size
+# changes no choice of these runs, so the digests equal the default's.
+# seed -> (sha256 of log.jsonl, sha256 of summary.json)
+PINNED_RESTARTS_FRACTIONAL_PENALTY = {
+    1: (
+        "999ff6956265d3ef96abd8f81dc40dad7b1ca691e9212e8c947e4ddc61d6e3b2",
+        "ae6b93335be8b14313cfa06de56b9f72346f56abe5b8207b2ca637864584e3fe",
+    ),
+    2: (
+        "a620c9bcd61bf9bf53aff33269012b6ae2b46cbc955cd332738294708dfffd34",
+        "ac5cd45aa86f5e5559b68c8853d4d81671494a4f877206d560f6fd2307168510",
+    ),
+    3: (
+        "e375220f859a59fb639c892d2c89942a5987171efc53bbd24969c243b95ad805",
+        "6258b4b7e4f48a67ef5a4403d3c552aee19d1f8844ae80cf57d3bfb4b1b46ee6",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_RESTARTS_FRACTIONAL_PENALTY))
+def test_restart_heavy_mcts_with_a_fractional_penalty_is_pinned(tmp_path, seed):
+    digests = run_restart_heavy(tmp_path, seed, RewardParams(r_penalty=-0.3))
+    assert digests == PINNED_RESTARTS_FRACTIONAL_PENALTY[seed]
 
 
 BENCH_RESTART = (
