@@ -32,6 +32,14 @@ def _percent(text: str) -> float:
     return value
 
 
+def _depth(text: str) -> int:
+    """A ``--max-depth`` value: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 def _mtime(path: Path) -> int | None:
     """When ``path`` was last written, to tell a fresh output from a stale one."""
     return path.stat().st_mtime_ns if path.exists() else None
@@ -63,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     space_cmd = commands.add_parser("space", help="inspect a search space")
     dump = space_cmd.add_subparsers(dest="kind", required=True).add_parser("dump")
     dump.add_argument("--nest", required=True, help="nest description file")
-    dump.add_argument("--max-depth", type=int, required=True)
+    dump.add_argument("--max-depth", type=_depth, required=True)
     return parser
 
 

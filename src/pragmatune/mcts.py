@@ -13,7 +13,9 @@ search keeps its records ranked as they arrive (``RankedHistory``), so
 the split reads two ranks, and the penalty filter compares
 pragma-identity bitmasks, so a restart reads only the records it
 replays. Each history entry carries the child-index path its playout
-walked, so transfer builds no space node. Within a phase, ``select``
+walked, so transfer builds no space node, and no tree node below the
+root: the root keeps the paths pending, and a node hands them down a
+level when its children are first read. Within a phase, ``select``
 scores children inline and ``expand`` counts to its draw without
 building a list. Each phase sends one debug record to the
 ``pragmatune`` logger.
@@ -110,7 +112,10 @@ class SearchNode:
     and statistics only; ``space`` and ``n_children`` (one census, which
     applies the node's step) are built on first read, so nodes that only
     history transfer touches are never built; ``nodes`` hands out the
-    space nodes. Tree nodes hold no strong parent reference: a child
+    space nodes. ``children`` is built on first read too: a node keeps
+    the transferred ``(path, value)`` entries that pass through it
+    pending, and its first read hands each to the child it leads to, in
+    arrival order. Tree nodes hold no strong parent reference: a child
     reaches its parent through a weak reference, so a dropped tree holds
     no reference cycle and is freed at once.
     """
@@ -125,7 +130,8 @@ class SearchNode:
         "visits",
         "total_reward",
         "terminal_count",
-        "children",
+        "_children",
+        "_pending",
         "__weakref__",
     )
 
@@ -146,7 +152,25 @@ class SearchNode:
         self.visits = 0
         self.total_reward = 0.0
         self.terminal_count = 0
-        self.children: dict[int, SearchNode] = {}
+        self._children: dict[int, SearchNode] = {}
+        self._pending: list[tuple[tuple[int, ...], float]] = []
+
+    @property
+    def children(self) -> dict[int, SearchNode]:
+        if self._pending:
+            pending, self._pending = self._pending, []
+            for entry in pending:
+                _get_or_create(self, entry[0][self.depth])._receive(entry)
+        return self._children
+
+    def _receive(self, entry: tuple[tuple[int, ...], float]) -> None:
+        """Add a transferred ``(path, value)`` here, as a playout along ``path`` would."""
+        self.visits += 1
+        self.total_reward += entry[1]
+        if len(entry[0]) == self.depth:
+            self.terminal_count += 1
+        else:
+            self._pending.append(entry)
 
     @property
     def space(self) -> space.SpaceNode:
@@ -173,27 +197,28 @@ def select(root: SearchNode, target_depth: int, c: float) -> list[SearchNode]:
     node = root
     c2 = 2 * c
     while node.depth < target_depth:
-        if node.n_children == 0 or len(node.children) < node.n_children:
+        children = node.children
+        if node.n_children == 0 or len(children) < node.n_children:
             break
         two_log = 2 * math.log(max(node.visits, 1))
         best_idx = -1
         best = -math.inf
-        for idx, child in node.children.items():
+        for idx, child in children.items():
             v = child.visits
             score = child.total_reward / v + c2 * math.sqrt(two_log / v) if v else math.inf
             if score > best or (score == best and idx < best_idx):
                 best, best_idx = score, idx
-        node = node.children[best_idx]
+        node = children[best_idx]
         path.append(node)
     return path
 
 
 def _get_or_create(node: SearchNode, index: int) -> SearchNode:
     """Child ``index`` of ``node``, created unbuilt on first use."""
-    child = node.children.get(index)
+    children = node.children
+    child = children.get(index)
     if child is None:
-        child = SearchNode(None, None, node._nodes, node, index)
-        node.children[index] = child
+        child = children[index] = SearchNode(None, None, node._nodes, node, index)
     return child
 
 
@@ -306,22 +331,15 @@ def learn_depth(
     return d_star
 
 
-def _reinforce(tree: SearchNode, indices: tuple[int, ...], value: float) -> None:
-    """Backpropagate ``value`` along a stored path like a playout, creating nodes unbuilt."""
-    path = [tree]
-    for index in indices:
-        path.append(_get_or_create(path[-1], index))
-    backpropagate(path, value)
-    path[-1].terminal_count += 1
-
-
 def apply_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams) -> tuple[int, int]:
     """Replay history quantiles onto a fresh tree without evaluating.
 
     Upper-tail records get +1 along their paths; lower-tail records
     surviving the penalty filter get r_penalty. Each path is the one its
-    history entry carries, so no record's steps are read. Returns the
-    upper and penalized counts.
+    history entry carries, so no record's steps are read. The root takes
+    every value now and keeps the paths pending for ``children`` to hand
+    down (``tests/helpers.eager_transfer`` is the reference). Returns
+    the upper and penalized counts.
     """
     if not history.ranked:
         return 0, 0
@@ -329,7 +347,7 @@ def apply_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams)
     penalized = penalty_filter(lower, upper)
     for entries, value in ((upper, 1.0), (penalized, params.reward.r_penalty)):
         for _, _, _, path in entries:
-            _reinforce(tree, path, value)
+            tree._receive((path, value))
     return len(upper), len(penalized)
 
 

@@ -6,8 +6,9 @@ applying every candidate) so the sparse index arithmetic in
 pragmatune.space is checked against something that cannot share its
 bugs. ``uct_score`` is the reference definition of the score
 ``mcts.select`` computes inline, ``index_path`` the reference for the
-path a playout records, and ``consistent_playouts`` checks the tree's
-visit identity after every playout of a search.
+path a playout records, ``eager_transfer`` the reference for the tree
+``mcts.apply_transfer`` hands down lazily, and ``consistent_playouts``
+checks the tree's visit identity after every playout of a search.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pragmatune.loops import (
 )
 from pragmatune.mcts import MctsParams, SearchNode, _SpaceNodes
 from pragmatune.rendering import pragma_lines
-from pragmatune.reward import RankedHistory
+from pragmatune.reward import RankedHistory, penalty_filter, quantile_split
 from pragmatune.session import EvalRecord
 from pragmatune.space import SpaceParams
 
@@ -220,6 +221,33 @@ def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
         return math.inf
     mean_reward = child.total_reward / child.visits
     return mean_reward + 2 * c * math.sqrt(2 * math.log(parent_visits) / child.visits)
+
+
+def eager_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams) -> tuple[int, int]:
+    """Replay every transferred path onto ``tree`` at once, as a playout would.
+
+    The reference definition: ``mcts.apply_transfer`` leaves the paths
+    pending at the root and hands them down a level on each node's first
+    ``children`` read; once every node is read, the two trees are equal.
+    """
+    if not history.ranked:
+        return 0, 0
+    lower, upper = quantile_split(history, params.reward.alpha)
+    penalized = penalty_filter(lower, upper)
+    for entries, value in ((upper, 1.0), (penalized, params.reward.r_penalty)):
+        for _, _, _, indices in entries:
+            path = [tree]
+            for index in indices:
+                path.append(mcts._get_or_create(path[-1], index))
+            mcts.backpropagate(path, value)
+            path[-1].terminal_count += 1
+    return len(upper), len(penalized)
+
+
+def read_every_node(node: SearchNode) -> None:
+    """Read ``children`` all the way down, so every pending path is handed down."""
+    for child in node.children.values():
+        read_every_node(child)
 
 
 def assert_consistent(node: SearchNode) -> None:

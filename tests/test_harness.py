@@ -667,6 +667,17 @@ class TestCli:
         assert lines[1] == "0\t1"
         assert lines[2] == "1\t35"
 
+    @pytest.mark.parametrize("depth", ["-1", "-5", "x"])
+    def test_a_negative_or_non_integer_depth_is_a_usage_error(self, experiment_dir, capsys, depth):
+        nest = str(experiment_dir / "nest.json")
+        with pytest.raises(SystemExit) as raised:
+            main(["space", "dump", "--nest", nest, "--max-depth", depth])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-depth" in captured.err
+        assert main(["space", "dump", "--nest", nest, "--max-depth", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["depth\tnodes", "0\t1"]
+
     def test_bad_scalar_field_exits_with_two(self, experiment_dir, capsys):
         path = write_experiment(experiment_dir, seed="abc")
         assert main(["tune", "--config", str(path)]) == 2

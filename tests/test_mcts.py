@@ -8,6 +8,7 @@ import math
 import random
 import weakref
 from collections import Counter, defaultdict
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -45,7 +46,13 @@ from pragmatune.mcts import (
     search,
     select,
 )
-from pragmatune.reward import RewardParams, TargetState
+from pragmatune.reward import (
+    RankedHistory,
+    RewardParams,
+    TargetState,
+    penalty_filter,
+    quantile_split,
+)
 from pragmatune.session import Budget, SearchSession
 from pragmatune.space import SpaceParams
 
@@ -54,11 +61,13 @@ from helpers import (
     chain_nest,
     consistent_playouts,
     counting,
+    eager_transfer,
     eval_record,
     make_root,
     random_nest,
     random_params,
     ranked_history,
+    read_every_node,
     uct_score,
 )
 from test_pinned_logs import CHAIN3_NEST, PINNED_RESTARTS
@@ -504,7 +513,7 @@ class TestLazyTree:
         census_nests = []
         apply_calls = []
         child_index_calls = []
-        reinforced = []
+        handed = []
 
         class CountingCensus(space._Census):
             __slots__ = ()
@@ -521,9 +530,17 @@ class TestLazyTree:
             child_index_calls.append(step)
             return child_index(node, step, params)
 
-        def counting_reinforce(tree, indices, value, reinforce=mcts._reinforce):
-            reinforced.append(indices)
-            reinforce(tree, indices, value)
+        def recording_transfer(tree, history, params, apply_transfer=mcts.apply_transfer):
+            lower, upper = quantile_split(history, params.reward.alpha)
+            penalized = penalty_filter(lower, upper)
+            tails = [(e[3], 1.0) for e in upper]
+            tails += [(e[3], params.reward.r_penalty) for e in penalized]
+            counts = apply_transfer(tree, history, params)
+            # The root keeps every transferred path but its own (the empty one) pending.
+            assert tree._pending == [entry for entry in tails if entry[0]]
+            assert tree.terminal_count == len(tails) - len(tree._pending)
+            handed.extend(path for path, _ in tree._pending)
+            return counts
 
         restarts = []
         census_phases = defaultdict(list)
@@ -542,7 +559,7 @@ class TestLazyTree:
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "apply", counting_apply)
         monkeypatch.setattr(space, "child_index", counting_child_index)
-        monkeypatch.setattr(mcts, "_reinforce", counting_reinforce)
+        monkeypatch.setattr(mcts, "apply_transfer", recording_transfer)
 
         nest = chain_nest(3, arrays=("A", "B"))
         params = MctsParams(per_run_budget=60, n_walks=10)
@@ -570,7 +587,7 @@ class TestLazyTree:
         # A replayed record's path is the one its history entry carries (the
         # root's is empty): no path is computed, and every later phase reuses it.
         assert child_index_calls == []
-        assert len(reinforced) > 2 * len(set(reinforced))
+        assert len(handed) > 2 * len(set(handed))
 
     def test_transfer_in_a_search_builds_no_space_node(self, monkeypatch):
         child_index_calls = []
@@ -649,6 +666,130 @@ class TestLazyTree:
         handed_on = run()
         with mock.patch.object(mcts._SpaceNodes, "child", always_miss):
             assert run() == handed_on
+
+
+def count_search_nodes(monkeypatch) -> list:
+    """A list that gets one entry per ``SearchNode`` built from now on."""
+    built = []
+    init = SearchNode.__init__
+
+    def counting_init(node, *args):
+        built.append(None)
+        init(node, *args)
+
+    monkeypatch.setattr(SearchNode, "__init__", counting_init)
+    return built
+
+
+def random_history(rng, nest, params):
+    """The root, then records at the ends of random walks, each with its path.
+
+    Outcomes mix failures, tied and untied speedups; a configuration may
+    repeat, so paths share prefixes and whole paths recur.
+    """
+    history = RankedHistory()
+    root = space.root_node(nest)
+    history.add(eval_record(root.config, Time(1.0), 1.0, 0, 0), ())
+    for k in range(1, rng.randint(1, 40)):
+        node, path = root, []
+        for _ in range(rng.randint(1, params.d_max)):
+            n = space.child_count(node, params)
+            if n == 0:
+                break
+            path.append(rng.randrange(n))
+            node = space.child(node, path[-1], params)
+        h = rng.choice([None, 0.5, 1.0, 2.0, rng.uniform(0.1, 10.0)])
+        outcome = CompileFailure("x") if h is None else Time(1.0 / h)
+        history.add(eval_record(node.config, outcome, h, k, 0), tuple(path))
+    return history
+
+
+def node_stats(node):
+    """A node's depth and statistics, its summed reward bit for bit."""
+    return node.depth, node.visits, node.total_reward.hex(), node.terminal_count
+
+
+def assert_same_tree(lazy, eager):
+    """Equal statistics and children at the same indices, in the same order."""
+    assert node_stats(lazy) == node_stats(eager)
+    assert list(lazy.children) == list(eager.children)
+    for index, child in lazy.children.items():
+        assert child.index == index
+        assert_same_tree(child, eager.children[index])
+
+
+# Penalties whose sums depend on the order of their additions.
+NON_DYADIC_PENALTIES = (-0.1, -0.3, -0.7, -1 / 3, -2.2)
+
+
+class TestLazyTransfer:
+    def test_transfer_builds_no_node_and_a_read_builds_one_level(self, monkeypatch):
+        params = small_params(reward=RewardParams(alpha=0.4))
+        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), params.space)
+        tree = make_root(chain_nest(2), params)
+        built = count_search_nodes(monkeypatch)
+        assert apply_transfer(tree, history, params) == (2, 2)
+        assert built == []
+        assert (tree.visits, tree.terminal_count) == (4, 0)
+        assert tree.total_reward == 2 * 1.0 + 2 * params.reward.r_penalty
+        # The first read hands every path down one level, and no further.
+        assert len(tree.children) == len(built) == 3
+        assert all(child._pending for child in tree.children.values())
+        read_every_node(tree)
+        assert len(built) == 7  # one node per distinct non-empty path prefix
+        assert_consistent(tree)
+
+    def test_a_restart_run_builds_only_the_search_nodes_it_reads(self, monkeypatch):
+        built = count_search_nodes(monkeypatch)
+        in_transfer = []
+
+        def counting_transfer(*args, apply_transfer=mcts.apply_transfer):
+            before = len(built)
+            counts = apply_transfer(*args)
+            in_transfer.append(len(built) - before)
+            return counts
+
+        monkeypatch.setattr(mcts, "apply_transfer", counting_transfer)
+        session = make_session(SyntheticLandscape(seed=1), max_unique=600)
+        params = MctsParams(per_run_budget=60, n_walks=10)
+        search(session, params, chain_nest(3, arrays=("A", "B")), random.Random(1), random.Random(2))
+        assert in_transfer == [0] * session.phases == [0] * 11
+        # An eager replay of every path builds 2,288 here, 743 of them in the transfer.
+        assert len(built) == 1880
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rng=st.randoms(use_true_random=True),
+        r_penalty=st.sampled_from(NON_DYADIC_PENALTIES),
+        alpha=st.sampled_from((0.05, 0.2, 0.45)),
+    )
+    def test_a_fully_read_tree_equals_the_eager_replay(self, rng, r_penalty, alpha):
+        nest = random_nest(rng)
+        reward_params = RewardParams(alpha=alpha, r_penalty=r_penalty)
+        params = MctsParams(space=random_params(rng, d_max=4), reward=reward_params)
+        history = random_history(rng, nest, params.space)
+        lazy, eager = make_root(nest, params), make_root(nest, params)
+        assert apply_transfer(lazy, history, params) == eager_transfer(eager, history, params)
+        assert_same_tree(lazy, eager)
+
+    @pytest.mark.parametrize("r_penalty", [-1.0, -0.3])
+    def test_reading_every_node_after_the_transfer_logs_the_same_records(
+        self, monkeypatch, r_penalty
+    ):
+        def run():
+            config = restart_heavy_config()
+            reward_params = RewardParams(r_penalty=r_penalty)
+            config = replace(config, search=replace(config.search, reward=reward_params))
+            return [r.to_dict() for r in run_experiment(config).records]
+
+        def reading_transfer(tree, history, params, apply_transfer=mcts.apply_transfer):
+            counts = apply_transfer(tree, history, params)
+            read_every_node(tree)
+            return counts
+
+        lazy = run()
+        monkeypatch.setattr(mcts, "apply_transfer", reading_transfer)
+        assert run() == lazy
 
 
 @pytest.mark.usefixtures("checked")
