@@ -15,6 +15,7 @@ from pragmatune import (
     Budget,
     CachedEvaluator,
     MctsParams,
+    RewardParams,
     SearchSession,
     SpaceParams,
     SyntheticLandscape,
@@ -57,10 +58,14 @@ def report(session):
 
 
 mcts_session = fresh_session("mcts")
+# The tree search takes the same space as the baselines, plus its own
+# reward and tree-search knobs.
 search(
     mcts_session,
-    MctsParams(space=space, per_run_budget=60),
     nest,
+    space,
+    RewardParams(),
+    MctsParams(per_run_budget=60),
     random.Random(derive_seed(MASTER_SEED, "walks")),
     random.Random(derive_seed(MASTER_SEED, "expand")),
 )

@@ -26,6 +26,7 @@ from .loops import (
 from .mcts import MctsParams, search
 from .rendering import render_pragmas
 from .reports import emit_best_depth, emit_cutoff_counts, emit_trajectory, read_log, write_log
+from .reward import RewardParams
 from .session import Budget, SearchSession
 from .space import (
     SpaceParams,

@@ -193,15 +193,15 @@ class SyntheticLandscape:
     def __init__(
         self,
         seed: int,
-        base_time: float = 1.0,
-        failure_rate: float = 0.10,
+        base_time: float = SyntheticSpec.base_time,
+        failure_rate: float = SyntheticSpec.failure_rate,
         multipliers: dict[tuple, float] | None = None,
         interactions: dict[frozenset, float] | None = None,
         multiplier_range: tuple[float, float] = (0.5, 1.5),
         interaction_range: tuple[float, float] = (0.9, 1.1),
         pack_conflict_size: int | None = 128,
     ):
-        spec = SyntheticSpec(seed, base_time, failure_rate)
+        spec = SyntheticSpec(seed, base_time, failure_rate)  # its rules check all three
         self.seed = seed
         self.base_time = spec.base_time
         self.failure_rate = spec.failure_rate

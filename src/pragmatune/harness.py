@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -72,9 +72,6 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"'method' must be one of {tuple(METHODS)}, got {self.method!r}")
 
-    def mcts_params(self) -> MctsParams:
-        return replace(self.search, reward=self.reward, space=self.space)
-
 
 def _seeded(config: ExperimentConfig, label: str) -> random.Random:
     return random.Random(derive_seed(config.seed, label))
@@ -83,7 +80,8 @@ def _seeded(config: ExperimentConfig, label: str) -> random.Random:
 # Method name -> searcher; each fills the session and returns nothing.
 METHODS: dict[str, Callable[[SearchSession, LoopNest, ExperimentConfig], None]] = {
     "mcts": lambda session, nest, config: mcts.search(
-        session, config.mcts_params(), nest, _seeded(config, "walks"), _seeded(config, "expand")
+        session, nest, config.space, config.reward, config.search,
+        _seeded(config, "walks"), _seeded(config, "expand"),
     ),
     "rs": lambda session, nest, config: baselines.random_search(
         session, nest, config.space, _seeded(config, "search")

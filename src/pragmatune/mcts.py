@@ -18,7 +18,8 @@ root: the root keeps the paths pending, and a node hands them down a
 level when its children are first read. Within a phase, ``select``
 scores children inline and ``expand`` counts to its draw without
 building a list. Each phase sends one debug record to the
-``pragmatune`` logger.
+``pragmatune`` logger. Each knob has one home: ``search`` takes the
+run's ``SpaceParams`` and ``RewardParams`` beside its own ``MctsParams``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import random
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from . import space
@@ -55,15 +56,13 @@ _PHASE_ITERATION_CAP_FACTOR = 20
 
 @dataclass(frozen=True)
 class MctsParams:
-    """Search knobs; ``c`` weighs exploration in the UCT score."""
+    """Tree-search knobs only; ``c`` weighs exploration in the UCT score."""
 
     c: float = 0.1
     per_run_budget: int = 300
     n_walks: int = 10
     no_improve_limit: int = 50
     same_config_limit: int = 10
-    reward: RewardParams = field(default_factory=RewardParams)
-    space: SpaceParams = field(default_factory=SpaceParams)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -281,7 +280,7 @@ def _descend(path: list[SearchNode], depth: int, rng: random.Random) -> None:
 def _playout(
     path: list[SearchNode],
     session: SearchSession,
-    params: MctsParams,
+    reward_params: RewardParams,
     target: TargetState,
     phase: int,
 ) -> tuple[EvalRecord, bool] | None:
@@ -297,7 +296,7 @@ def _playout(
     record, fresh = measured
     if fresh:
         node._nodes.history.add(record, tuple(n.index for n in path[1:]))
-    backpropagate(path, reward(record.outcome, record.h, target.f, params.reward))
+    backpropagate(path, reward(record.outcome, record.h, target.f, reward_params))
     node.terminal_count += 1
     return measured
 
@@ -306,6 +305,7 @@ def learn_depth(
     tree: SearchNode,
     session: SearchSession,
     params: MctsParams,
+    reward_params: RewardParams,
     target: TargetState,
     rng: random.Random,
     phase: int,
@@ -320,8 +320,8 @@ def learn_depth(
     d_star = 1
     for _ in range(params.n_walks):
         path = [tree]
-        _descend(path, rng.randint(1, params.space.d_max), rng)
-        measured = _playout(path, session, params, target, phase)
+        _descend(path, rng.randint(1, tree._nodes.params.d_max), rng)
+        measured = _playout(path, session, reward_params, target, phase)
         if measured is None:
             break
         h = measured[0].h
@@ -331,7 +331,9 @@ def learn_depth(
     return d_star
 
 
-def apply_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams) -> tuple[int, int]:
+def apply_transfer(
+    tree: SearchNode, history: RankedHistory, reward_params: RewardParams
+) -> tuple[int, int]:
     """Replay history quantiles onto a fresh tree without evaluating.
 
     Upper-tail records get +1 along their paths; lower-tail records
@@ -343,9 +345,9 @@ def apply_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams)
     """
     if not history.ranked:
         return 0, 0
-    lower, upper = quantile_split(history, params.reward.alpha)
+    lower, upper = quantile_split(history, reward_params.alpha)
     penalized = penalty_filter(lower, upper)
-    for entries, value in ((upper, 1.0), (penalized, params.reward.r_penalty)):
+    for entries, value in ((upper, 1.0), (penalized, reward_params.r_penalty)):
         for _, _, _, path in entries:
             tree._receive((path, value))
     return len(upper), len(penalized)
@@ -353,19 +355,21 @@ def apply_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams)
 
 def search(
     session: SearchSession,
-    params: MctsParams,
     nest: LoopNest,
+    space_params: SpaceParams,
+    reward_params: RewardParams,
+    params: MctsParams,
     rng_walks: random.Random,
     rng_expand: random.Random,
 ) -> None:
-    """Run the full phased search until the global budget is spent.
+    """Run the full phased search over ``nest`` until the global budget is spent.
 
     The root is measured first and enters the history with the empty
     path; its failure is fatal. A root with no children ends the run as
     ``space_exhausted``.
     """
-    target = TargetState(params.reward)
-    nodes = _SpaceNodes(nest, params.space)
+    target = TargetState(reward_params)
+    nodes = _SpaceNodes(nest, space_params)
     nodes.history.add(session.evaluate_root(target), ())
     phase = 0
     while not session.out_of_budget():
@@ -375,9 +379,9 @@ def search(
         if tree.n_children == 0:
             session.stop_reason = "space_exhausted"
             return
-        upper, penalized = apply_transfer(tree, nodes.history, params)
+        upper, penalized = apply_transfer(tree, nodes.history, reward_params)
         evals_before, iterations_before = session.unique_evaluations, session.iterations
-        d_star = learn_depth(tree, session, params, target, rng_walks, phase)
+        d_star = learn_depth(tree, session, params, reward_params, target, rng_walks, phase)
         phase_evals = session.unique_evaluations - evals_before
         log = IterationLog(params.no_improve_limit, params.same_config_limit)
         iteration_cap = params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
@@ -399,7 +403,7 @@ def search(
             if leaf.depth < d_star and len(leaf.children) < leaf.n_children:
                 path.append(expand(leaf, rng_expand))
             _descend(path, d_star, rng_walks)
-            measured = _playout(path, session, params, target, phase)
+            measured = _playout(path, session, reward_params, target, phase)
             if measured is None:
                 ended = "global_budget"
                 break

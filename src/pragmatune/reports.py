@@ -9,6 +9,7 @@ All tables are tab-separated with a header row.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import EmptyHistoryError, LogParseError
@@ -78,9 +79,12 @@ def top_cutoff(values: list[float], fraction: float) -> float:
     return ordered[len(ordered) - tail_rank(len(ordered), fraction)]
 
 
-def emit_cutoff_counts(
-    logs: list[list[EvalRecord]], fraction: float = 0.05
-) -> str:
+def _method(log: list[EvalRecord], i: int) -> str:
+    """The method a log names in its first record, else ``method<i>``."""
+    return log[0].method if log and log[0].method else f"method{i}"
+
+
+def emit_cutoff_counts(logs: list[list[EvalRecord]], fraction: float = 0.05) -> str:
     """Cumulative per-method counts of configurations at/above the cutoff.
 
     The cutoff pools successful speedups across all logs. Methods whose
@@ -88,24 +92,14 @@ def emit_cutoff_counts(
     """
     pooled = [r.h for log in logs for r in log if r.h is not None]
     cutoff = top_cutoff(pooled, fraction)
-    methods = []
-    for i, log in enumerate(logs):
-        methods.append(log[0].method if log and log[0].method else f"method{i}")
-    counted = []
-    for log in logs:
-        cumulative, series = 0, []
-        for record in log:
-            if record.h is not None and record.h >= cutoff:
-                cumulative += 1
-            series.append(cumulative)
-        counted.append(series)
+    counted = [
+        list(accumulate(int(r.h is not None and r.h >= cutoff) for r in log)) for log in logs
+    ]
     lines = [f"# cutoff {_fmt(cutoff)} (top {fraction:g} of pooled h)"]
-    lines.append("index\t" + "\t".join(methods))
-    for index in range(max((len(s) for s in counted), default=0)):
-        row = [str(index)]
-        for series in counted:
-            row.append(str(series[min(index, len(series) - 1)] if series else 0))
-        lines.append("\t".join(row))
+    lines.append("\t".join(["index", *(_method(log, i) for i, log in enumerate(logs))]))
+    for index in range(max(map(len, counted), default=0)):
+        row = [str(s[min(index, len(s) - 1)] if s else 0) for s in counted]
+        lines.append("\t".join([str(index), *row]))
     return "\n".join(lines) + "\n"
 
 
@@ -113,11 +107,8 @@ def emit_best_depth(logs: list[list[EvalRecord]]) -> str:
     """Step count (depth) of each method's best configuration."""
     lines = ["method\tbest_depth\tbest_h\tkey"]
     for i, log in enumerate(logs):
-        best: EvalRecord | None = None
-        for record in log:
-            if record.h is not None and (best is None or record.h > best.h):
-                best = record
-        method = log[0].method if log and log[0].method else f"method{i}"
+        best = max((r for r in log if r.h is not None), key=lambda r: r.h, default=None)
+        method = _method(log, i)
         if best is None:
             lines.append(f"{method}\t\t\t")
         else:

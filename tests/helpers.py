@@ -32,9 +32,9 @@ from pragmatune.loops import (
     Unroll,
     apply,
 )
-from pragmatune.mcts import MctsParams, SearchNode, _SpaceNodes
+from pragmatune.mcts import SearchNode, _SpaceNodes
 from pragmatune.rendering import pragma_lines
-from pragmatune.reward import RankedHistory, penalty_filter, quantile_split
+from pragmatune.reward import RankedHistory, RewardParams, penalty_filter, quantile_split
 from pragmatune.session import EvalRecord
 from pragmatune.space import SpaceParams
 
@@ -205,9 +205,9 @@ def ranked_history(
     return history
 
 
-def make_root(nest: LoopNest, params: MctsParams) -> SearchNode:
+def make_root(nest: LoopNest, params: SpaceParams) -> SearchNode:
     """A fresh search tree over ``nest``, as a phase of ``mcts.search`` builds one."""
-    nodes = _SpaceNodes(nest, params.space)
+    nodes = _SpaceNodes(nest, params)
     return SearchNode(nodes.root, None, nodes)
 
 
@@ -223,7 +223,9 @@ def uct_score(child: SearchNode, parent_visits: int, c: float) -> float:
     return mean_reward + 2 * c * math.sqrt(2 * math.log(parent_visits) / child.visits)
 
 
-def eager_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams) -> tuple[int, int]:
+def eager_transfer(
+    tree: SearchNode, history: RankedHistory, reward_params: RewardParams
+) -> tuple[int, int]:
     """Replay every transferred path onto ``tree`` at once, as a playout would.
 
     The reference definition: ``mcts.apply_transfer`` leaves the paths
@@ -232,9 +234,9 @@ def eager_transfer(tree: SearchNode, history: RankedHistory, params: MctsParams)
     """
     if not history.ranked:
         return 0, 0
-    lower, upper = quantile_split(history, params.reward.alpha)
+    lower, upper = quantile_split(history, reward_params.alpha)
     penalized = penalty_filter(lower, upper)
-    for entries, value in ((upper, 1.0), (penalized, params.reward.r_penalty)):
+    for entries, value in ((upper, 1.0), (penalized, reward_params.r_penalty)):
         for _, _, _, indices in entries:
             path = [tree]
             for index in indices:

@@ -204,11 +204,13 @@ def test_criterion_04_finds_the_known_global_optimum():
                 method="mcts",
                 simulated=True,
             )
-            params = MctsParams(space=space, per_run_budget=40, n_walks=30)
+            params = MctsParams(per_run_budget=40, n_walks=30)
             search(
                 session,
-                params,
                 nest,
+                space,
+                RewardParams(),
+                params,
                 random.Random(derive_seed(master, "walks")),
                 random.Random(derive_seed(master, "expand")),
             )
@@ -238,8 +240,10 @@ def test_criterion_05_beats_random_and_breadth_first():
             session = fresh_session()
             search(
                 session,
-                MctsParams(space=space),
                 nest,
+                space,
+                RewardParams(),
+                MctsParams(),
                 random.Random(derive_seed(master, "walks")),
                 random.Random(derive_seed(master, "expand")),
             )
@@ -299,8 +303,10 @@ def test_criterion_06_restart_escapes_a_shallow_optimum():
         master = 4  # chosen so phase 0 converges onto the shallow trap
         search(
             session,
-            MctsParams(space=space, per_run_budget=25, n_walks=8),
             nest,
+            space,
+            RewardParams(),
+            MctsParams(per_run_budget=25, n_walks=8),
             random.Random(derive_seed(master, "walks")),
             random.Random(derive_seed(master, "expand")),
         )
@@ -382,7 +388,8 @@ def test_criterion_08_exact_budget_and_reproducible_logs(tmp_path):
 
 def test_criterion_09_history_transfer_without_evaluation():
     with verdict(9, "restart transfer replays quantile tails, zero evaluations") as info:
-        params = MctsParams()  # default space enumerates all steps used below
+        reward_params = RewardParams()
+        space_params = SpaceParams()  # the default space enumerates all steps used below
         nest = chain_nest(1)
 
         root_rec = eval_record(Configuration(), Time(1.0), 1.0, 0, 0)
@@ -408,21 +415,21 @@ def test_criterion_09_history_transfer_without_evaluation():
         history = [root_rec, upper_rec, slow_rec] + fillers
         assert len(history) == 19
 
-        lower, upper = quantile_split(ranked_history(history), params.reward.alpha)
+        lower, upper = quantile_split(ranked_history(history), reward_params.alpha)
         assert [r.h for r in entry_records(lower)] == [0.5]  # single minimum
         assert [r.h for r in entry_records(upper)] == [20.0]  # single maximum
 
         # With the root as the unique minimum it reaches the lower tail
         # but is exempt from penalties.
         no_slow = [root_rec, upper_rec] + fillers
-        lower2, upper2 = quantile_split(ranked_history(no_slow), params.reward.alpha)
+        lower2, upper2 = quantile_split(ranked_history(no_slow), reward_params.alpha)
         assert lower2 == [(0, 0, root_rec, ())]  # the root's identity mask is empty
         assert penalty_filter(lower2, upper2) == []
 
         calls = []
         cache = CachedEvaluator(counting(lambda config: Time(1.0), calls))
-        tree = make_root(nest, params)
-        apply_transfer(tree, ranked_history(history, nest, params.space), params)
+        tree = make_root(nest, space_params)
+        apply_transfer(tree, ranked_history(history, nest, space_params), reward_params)
         assert calls == []  # the cache's inner evaluator never ran
 
         by_key = {c.space.key: c for c in tree.children.values()}
@@ -431,7 +438,7 @@ def test_criterion_09_history_transfer_without_evaluation():
         assert reinforced.total_reward == 1.0
         assert reinforced.terminal_count == 1
         penalized = by_key["reverse(i0)"]
-        assert penalized.total_reward == params.reward.r_penalty
+        assert penalized.total_reward == reward_params.r_penalty
         assert len(tree.children) == 2
         info["detail"] = ": 19-record history, 2 replayed paths"
 
@@ -478,13 +485,10 @@ def test_criterion_10_randomized_invariants():
             with consistent_playouts() as playouts:
                 search(
                     session,
-                    MctsParams(
-                        space=SpaceParams(
-                            tile_sizes=(2, 8), unroll_factors=(2, 4), d_max=4
-                        ),
-                        per_run_budget=30,
-                    ),
                     chain_nest(2),
+                    SpaceParams(tile_sizes=(2, 8), unroll_factors=(2, 4), d_max=4),
+                    RewardParams(),
+                    MctsParams(per_run_budget=30),
                     random.Random(derive_seed(seed, "walks")),
                     random.Random(derive_seed(seed, "expand")),
                 )

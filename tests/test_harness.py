@@ -4,12 +4,14 @@ import dataclasses
 import gc
 import json
 import logging
+import typing
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from pragmatune import harness
+from pragmatune import harness, mcts
 from pragmatune import session as session_module
 from pragmatune.cli import main
 from pragmatune.errors import ExperimentConfigError, RootEvaluationError
@@ -156,7 +158,7 @@ class TestLoadExperimentConfig:
         assert '"id": "i"' in config.nest_text
         assert config.out_dir is None
 
-    def test_sections_override_defaults(self, experiment_dir):
+    def test_sections_override_defaults(self, experiment_dir, monkeypatch):
         path = write_experiment(
             experiment_dir,
             budget={"max_unique": 5, "max_wall_clock_s": 60.0},
@@ -169,10 +171,18 @@ class TestLoadExperimentConfig:
         assert config.space.d_max == 3
         assert config.reward.m == 5
         assert config.search.per_run_budget == 20
-        merged = config.mcts_params()
-        assert merged.per_run_budget == 20
-        assert merged.space.d_max == 3
-        assert merged.reward.m == 5
+        seen = []
+
+        def spy(session, nest, space, reward, params, *rngs, search=mcts.search):
+            seen.append((space, reward, params))
+            search(session, nest, space, reward, params, *rngs)
+
+        monkeypatch.setattr(mcts, "search", spy)
+        run_experiment(config)
+        [(space, reward, params)] = seen
+        assert params.per_run_budget == 20
+        assert space.d_max == 3
+        assert reward.m == 5
 
     def test_rejections(self, experiment_dir):
         cases = [
@@ -199,11 +209,11 @@ class TestLoadExperimentConfig:
             load_experiment_config(experiment_dir / "nest.json")  # no 'nest' key
 
     def test_search_may_not_hold_space_or_reward(self, experiment_dir):
-        # Inside 'search' these sections would bypass their own validation
-        # and then be silently replaced by the top-level ones.
+        # Each knob has one home: the space and reward knobs are top-level sections.
         for name, section in (("space", {"d_max": 1}), ("reward", {"alpha": 0.9})):
             path = write_experiment(experiment_dir, search={"n_walks": 4, name: section})
-            with pytest.raises(ExperimentConfigError, match=f"'search' section: '{name}' must be"):
+            match = f"'search' section: .*unexpected keyword argument '{name}'"
+            with pytest.raises(ExperimentConfigError, match=match):
                 load_experiment_config(path)
 
     def test_bad_scalar_fields_are_config_errors(self, experiment_dir):
@@ -285,6 +295,29 @@ class TestLoadExperimentConfig:
         evaluator, simulated = build_evaluator(config)
         assert simulated is False  # external runs keep real time
         assert evaluator.keywords["job"].compile_cmd == "cc {src} -o {out}"
+
+
+def nested_config_classes(cls) -> list[type]:
+    """Each dataclass held by a field of ``cls``, or of a dataclass so held, once per field."""
+    found = []
+    for hint in typing.get_type_hints(cls).values():
+        if dataclasses.is_dataclass(hint):
+            found += [hint, *nested_config_classes(hint)]
+    return found
+
+
+class TestOneHomePerKnob:
+    def test_each_config_class_appears_once_in_the_experiment_config(self):
+        homes = Counter(nested_config_classes(ExperimentConfig))
+        assert homes == {Budget: 1, SpaceParams: 1, RewardParams: 1, MctsParams: 1}
+
+    @pytest.mark.parametrize(
+        "knobs", [{"reward": RewardParams()}, {"space": SpaceParams()}], ids=["reward", "space"]
+    )
+    def test_the_search_knobs_hold_no_reward_or_space(self, knobs):
+        with pytest.raises(TypeError):
+            MctsParams(**knobs)
+        assert not hasattr(ExperimentConfig, "mcts_params")
 
 
 class TestBuildEvaluator:
@@ -748,6 +781,8 @@ class TestCli:
             ({"methd": "rs"}, "methd"),
             ({"evaluator": {"failure_rat": 0.5}}, "failure_rat"),
             ({"evaluator": {**EXTERNAL, "repetition": 3}}, "repetition"),
+            pytest.param({"search": {"reward": 5}}, "reward", id="search.reward"),
+            pytest.param({"search": {"space": 5}}, "space", id="search.space"),
         ],
     )
     def test_an_unknown_key_exits_with_two(self, experiment_dir, capsys, overrides, name):

@@ -75,10 +75,7 @@ from test_pinned_logs import CHAIN3_NEST, PINNED_RESTARTS
 SMALL_SPACE = SpaceParams(
     tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
 )
-
-
-def small_params(**overrides):
-    return MctsParams(**{"space": SMALL_SPACE, **overrides})
+DEFAULT_REWARD = RewardParams()
 
 
 @pytest.fixture
@@ -151,8 +148,8 @@ class TestUctScore:
         assert uct_score(a, 16, 0.1) > uct_score(b, 16, 0.1)
 
 
-def fully_expanded_root(params):
-    tree = make_root(chain_nest(1), params)
+def fully_expanded_root():
+    tree = make_root(chain_nest(1), SMALL_SPACE)
     rng = random.Random(0)
     for _ in range(tree.n_children):
         expand(tree, rng)
@@ -161,12 +158,11 @@ def fully_expanded_root(params):
 
 class TestSelect:
     def test_stops_immediately_when_children_unexpanded(self):
-        tree = make_root(chain_nest(1), small_params())
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         assert select(tree, 3, 0.1) == [tree]
 
     def test_ties_break_to_the_lowest_index(self):
-        params = small_params()
-        tree = fully_expanded_root(params)
+        tree = fully_expanded_root()
         for child in tree.children.values():
             child.visits, child.total_reward = 1, 0.0
         tree.visits = tree.n_children
@@ -175,8 +171,7 @@ class TestSelect:
         assert path[1] is tree.children[0]
 
     def test_higher_mean_wins(self):
-        params = small_params()
-        tree = fully_expanded_root(params)
+        tree = fully_expanded_root()
         for child in tree.children.values():
             child.visits, child.total_reward = 1, 0.0
         tree.children[3].total_reward = 1.0
@@ -185,16 +180,14 @@ class TestSelect:
         assert path[1] is tree.children[3]
 
     def test_stops_at_target_depth(self):
-        params = small_params()
-        tree = fully_expanded_root(params)
+        tree = fully_expanded_root()
         for child in tree.children.values():
             child.visits, child.total_reward = 1, 0.0
         tree.visits = tree.n_children
         assert select(tree, 0, 0.1) == [tree]
 
     def test_exploration_revisits_the_neglected_child(self):
-        params = small_params()
-        tree = fully_expanded_root(params)
+        tree = fully_expanded_root()
         # children[0] looks best on mean but has been hammered; with a
         # large enough c the rarely tried children[1] must win.
         for index, child in tree.children.items():
@@ -206,8 +199,7 @@ class TestSelect:
 
 class TestExpand:
     def test_materializes_every_child_exactly_once(self):
-        params = small_params()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         rng = random.Random(1)
         seen = {expand(tree, rng).space.key for _ in range(tree.n_children)}
         assert len(seen) == tree.n_children
@@ -215,8 +207,7 @@ class TestExpand:
             expand(tree, rng)
 
     def test_child_stats_start_at_zero(self):
-        params = small_params()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         child = expand(tree, random.Random(2))
         assert (child.visits, child.total_reward, child.terminal_count) == (0, 0.0, 0)
 
@@ -227,7 +218,7 @@ class TestReferenceEquality:
     @settings(max_examples=100)
     @given(rng=st.randoms(use_true_random=True), c=st.sampled_from([0.0, 0.1, 0.5, 2.0]))
     def test_select_takes_the_uct_argmax_ties_to_the_lower_index(self, rng, c):
-        tree = fully_expanded_root(small_params())
+        tree = fully_expanded_root()
         for child in tree.children.values():
             child.visits = rng.randint(1, 6)
             # Whole rewards make equal means, and so tied scores, common.
@@ -242,7 +233,7 @@ class TestReferenceEquality:
     @settings(max_examples=100)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_expand_draws_what_the_list_based_rule_draws(self, data, seed):
-        tree = make_root(chain_nest(1), small_params())
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         n = tree.n_children
         expanded = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
         for index in expanded:
@@ -265,16 +256,14 @@ class TestBackpropagate:
 
 class TestAssertConsistent:
     def test_accepts_a_consistent_tree(self):
-        params = small_params()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         child = expand(tree, random.Random(0))
         backpropagate([tree, child], 1.0)
         child.terminal_count += 1
         assert_consistent(tree)
 
     def test_rejects_an_unbalanced_tree(self):
-        params = small_params()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         expand(tree, random.Random(0))
         tree.visits = 5
         with pytest.raises(AssertionError, match="visits"):
@@ -327,12 +316,14 @@ class TestConvergence:
 @pytest.mark.usefixtures("checked")
 class TestLearnDepth:
     def test_all_ties_pick_the_first_walk(self):
-        params = small_params()
+        params = MctsParams()
         session = make_session(flat_landscape())
         session.evaluate_root()
-        tree = make_root(chain_nest(1), params)
-        target = TargetState(params.reward)
-        d_star = learn_depth(tree, session, params, target, random.Random(5), phase=0)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
+        target = TargetState(DEFAULT_REWARD)
+        d_star = learn_depth(
+            tree, session, params, DEFAULT_REWARD, target, random.Random(5), phase=0
+        )
         # Every walk backpropagates through the root exactly once.
         assert tree.visits == params.n_walks
         # A walk's first success is fresh, so it is the first successful record.
@@ -341,12 +332,13 @@ class TestLearnDepth:
         assert_consistent(tree)
 
     def test_best_walk_sets_the_depth(self):
-        params = small_params()
+        params = MctsParams()
         session = make_session(depth_rewarding_evaluator)
         session.evaluate_root()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
+        target = TargetState(DEFAULT_REWARD)
         d_star = learn_depth(
-            tree, session, params, TargetState(params.reward), random.Random(7), phase=0
+            tree, session, params, DEFAULT_REWARD, target, random.Random(7), phase=0
         )
         walked = session.records[1:]  # one record per distinct walk end
         best = max((r for r in walked if r.h is not None), key=lambda r: r.h)
@@ -357,24 +349,26 @@ class TestLearnDepth:
         def all_fail(config):
             return Time(1.0) if not config.steps else CompileFailure("no")
 
-        params = small_params()
+        params = MctsParams()
         session = make_session(all_fail)
         session.evaluate_root()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
+        target = TargetState(DEFAULT_REWARD)
         d_star = learn_depth(
-            tree, session, params, TargetState(params.reward), random.Random(3), phase=0
+            tree, session, params, DEFAULT_REWARD, target, random.Random(3), phase=0
         )
         assert d_star == 1
         assert tree.visits == params.n_walks
         assert all(r.h is None for r in session.records[1:])
 
     def test_budget_stops_the_walks(self):
-        params = small_params()
+        params = MctsParams()
         session = make_session(flat_landscape(), max_unique=3)
         session.evaluate_root()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
+        target = TargetState(DEFAULT_REWARD)
         learn_depth(
-            tree, session, params, TargetState(params.reward), random.Random(1), phase=0
+            tree, session, params, DEFAULT_REWARD, target, random.Random(1), phase=0
         )
         assert session.unique_evaluations <= 3
         assert tree.visits <= params.n_walks
@@ -391,26 +385,26 @@ def history_from(entries):
 
 class TestApplyTransfer:
     def test_upper_tail_reinforced_lower_tail_penalized(self):
-        params = small_params(reward=RewardParams(alpha=0.05))
-        tree = make_root(chain_nest(1), params)
+        reward_params = RewardParams(alpha=0.05)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         history = history_from(
             [
                 ([Reverse("i0")], 9.0),
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        history = ranked_history(history, chain_nest(1), params.space)
-        assert apply_transfer(tree, history, params) == (1, 1)
+        history = ranked_history(history, chain_nest(1), SMALL_SPACE)
+        assert apply_transfer(tree, history, reward_params) == (1, 1)
         assert_consistent(tree)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["reverse(i0)"].total_reward == 1.0
         assert by_key["reverse(i0)"].terminal_count == 1
-        assert by_key["unroll(i0;2)"].total_reward == params.reward.r_penalty
+        assert by_key["unroll(i0;2)"].total_reward == reward_params.r_penalty
         assert tree.visits == 2 and tree.total_reward == 0.0
 
     def test_shared_identity_escapes_the_penalty(self):
-        params = small_params(reward=RewardParams(alpha=0.05))
-        tree = make_root(chain_nest(1), params)
+        reward_params = RewardParams(alpha=0.05)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         # The slow record tiles like the fast one, so it is not punished.
         history = history_from(
             [
@@ -418,39 +412,36 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        apply_transfer(tree, ranked_history(history, chain_nest(1), params.space), params)
+        apply_transfer(tree, ranked_history(history, chain_nest(1), SMALL_SPACE), reward_params)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["unroll(i0;2)"].total_reward >= 1.0  # prefix of the upper path
         assert all(c.total_reward >= 0.0 for c in tree.children.values())
 
     def test_root_only_history_touches_only_the_tree_root(self):
-        params = small_params()
-        tree = make_root(chain_nest(1), params)
-        history = ranked_history(history_from([]), chain_nest(1), params.space)
-        apply_transfer(tree, history, params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
+        history = ranked_history(history_from([]), chain_nest(1), SMALL_SPACE)
+        apply_transfer(tree, history, DEFAULT_REWARD)
         assert tree.visits == 1 and tree.children == {}
 
     def test_no_successes_means_no_transfer(self):
-        params = small_params()
-        tree = make_root(chain_nest(1), params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
         failures = [
             eval_record(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
         ]
-        history = ranked_history(failures, chain_nest(1), params.space)
-        assert apply_transfer(tree, history, params) == (0, 0)
+        history = ranked_history(failures, chain_nest(1), SMALL_SPACE)
+        assert apply_transfer(tree, history, DEFAULT_REWARD) == (0, 0)
         assert tree.visits == 0 and tree.children == {}
 
     def test_transfer_never_calls_the_evaluator(self):
-        params = small_params()
         calls = []
         session = make_session(counting(flat_landscape(), calls), max_unique=10)
         session.evaluate_root()
         for k, steps in enumerate(([Reverse("i0")], [Unroll("i0", 2)]), start=1):
             session.measure(Configuration(tuple(steps)), phase=0)
         calls_before = len(calls)
-        tree = make_root(chain_nest(1), params)
-        history = ranked_history(session.records, chain_nest(1), params.space)
-        apply_transfer(tree, history, params)
+        tree = make_root(chain_nest(1), SMALL_SPACE)
+        history = ranked_history(session.records, chain_nest(1), SMALL_SPACE)
+        apply_transfer(tree, history, DEFAULT_REWARD)
         assert len(calls) == calls_before
         assert tree.visits > 0  # the replayed paths really landed
 
@@ -466,28 +457,28 @@ DEEP_HISTORY = [
 ]
 
 
-def assert_children_extend_their_parent(node, params):
+def assert_children_extend_their_parent(node, space_params):
     for index, child in node.children.items():
-        step = space.child_transformation(node.space, index, params.space)
+        step = space.child_transformation(node.space, index, space_params)
         assert child.space.config == node.space.config.extended(step)
         assert child.depth == node.depth + 1 == child.space.depth
-        assert_children_extend_their_parent(child, params)
+        assert_children_extend_their_parent(child, space_params)
 
 
 class TestLazyTree:
     def test_a_dropped_tree_leaves_no_garbage_cycle(self):
-        params = small_params(reward=RewardParams(alpha=0.4))
-        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), params.space)
+        reward_params = RewardParams(alpha=0.4)
+        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), SMALL_SPACE)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            tree = make_root(chain_nest(2), params)
-            apply_transfer(tree, history, params)
+            tree = make_root(chain_nest(2), SMALL_SPACE)
+            apply_transfer(tree, history, reward_params)
             rng = random.Random(0)
             for _ in range(3):
                 expand(tree, rng).space
-            assert_children_extend_their_parent(tree, params)
+            assert_children_extend_their_parent(tree, SMALL_SPACE)
             del tree
             assert gc.collect() == 0
         finally:
@@ -495,11 +486,11 @@ class TestLazyTree:
                 gc.enable()
 
     def test_replayed_nodes_build_their_records_prefixes(self):
-        params = small_params(reward=RewardParams(alpha=0.4))
-        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), params.space)
-        tree = make_root(chain_nest(2), params)
+        reward_params = RewardParams(alpha=0.4)
+        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), SMALL_SPACE)
+        tree = make_root(chain_nest(2), SMALL_SPACE)
         # Every non-root record is replayed, from the path its entry carries.
-        assert apply_transfer(tree, history, params) == (2, 2)
+        assert apply_transfer(tree, history, reward_params) == (2, 2)
         for _, _, record, path in history.entries()[1:]:
             node = tree
             for depth, index in enumerate(path, start=1):
@@ -507,7 +498,7 @@ class TestLazyTree:
                 assert node.space.config == Configuration(record.config.steps[:depth])
             assert node.space.key == record.key
         assert_consistent(tree)
-        assert_children_extend_their_parent(tree, params)
+        assert_children_extend_their_parent(tree, SMALL_SPACE)
 
     def test_restart_run_builds_each_node_state_once(self, monkeypatch):
         census_nests = []
@@ -530,12 +521,12 @@ class TestLazyTree:
             child_index_calls.append(step)
             return child_index(node, step, params)
 
-        def recording_transfer(tree, history, params, apply_transfer=mcts.apply_transfer):
-            lower, upper = quantile_split(history, params.reward.alpha)
+        def recording_transfer(tree, history, reward_params, apply_transfer=mcts.apply_transfer):
+            lower, upper = quantile_split(history, reward_params.alpha)
             penalized = penalty_filter(lower, upper)
             tails = [(e[3], 1.0) for e in upper]
-            tails += [(e[3], params.reward.r_penalty) for e in penalized]
-            counts = apply_transfer(tree, history, params)
+            tails += [(e[3], reward_params.r_penalty) for e in penalized]
+            counts = apply_transfer(tree, history, reward_params)
             # The root keeps every transferred path but its own (the empty one) pending.
             assert tree._pending == [entry for entry in tails if entry[0]]
             assert tree.terminal_count == len(tails) - len(tree._pending)
@@ -564,7 +555,8 @@ class TestLazyTree:
         nest = chain_nest(3, arrays=("A", "B"))
         params = MctsParams(per_run_budget=60, n_walks=10)
         session = make_session(SyntheticLandscape(seed=1), max_unique=600)
-        search(session, params, nest, random.Random(1), random.Random(2))
+        rngs = random.Random(1), random.Random(2)
+        search(session, nest, SpaceParams(), DEFAULT_REWARD, params, *rngs)
         phases = max(r.phase for r in session.records) + 1
         assert phases >= 5
 
@@ -620,7 +612,9 @@ class TestLazyTree:
 
         session = make_session(SyntheticLandscape(seed=1), max_unique=600, max_iterations=60000)
         params = MctsParams(per_run_budget=60, n_walks=10)
-        search(session, params, load_loop_nest(CHAIN3_NEST), random.Random(1), random.Random(2))
+        nest = load_loop_nest(CHAIN3_NEST)
+        rngs = random.Random(1), random.Random(2)
+        search(session, nest, SpaceParams(), DEFAULT_REWARD, params, *rngs)
         assert max(r.phase for r in session.records) >= 4
         assert child_index_calls == []
         assert transfer_censuses == []
@@ -648,16 +642,16 @@ class TestLazyTree:
     @given(st.randoms(use_true_random=True))
     def test_handed_on_nodes_leave_the_log_unchanged(self, rng):
         nest = random_nest(rng)
-        params = MctsParams(
-            space=random_params(rng, d_max=3), per_run_budget=6, n_walks=3
-        )
+        space_params = random_params(rng, d_max=3)
+        params = MctsParams(per_run_budget=6, n_walks=3)
         seeds = rng.randrange(2**32), rng.randrange(2**32), rng.randrange(2**32)
 
         def run():
             session = make_session(
                 SyntheticLandscape(seed=seeds[0]), max_unique=30, max_iterations=600
             )
-            search(session, params, nest, random.Random(seeds[1]), random.Random(seeds[2]))
+            rngs = random.Random(seeds[1]), random.Random(seeds[2])
+            search(session, nest, space_params, DEFAULT_REWARD, params, *rngs)
             return [r.to_dict() for r in session.records]
 
         def always_miss(nodes, parent, index):
@@ -724,14 +718,14 @@ NON_DYADIC_PENALTIES = (-0.1, -0.3, -0.7, -1 / 3, -2.2)
 
 class TestLazyTransfer:
     def test_transfer_builds_no_node_and_a_read_builds_one_level(self, monkeypatch):
-        params = small_params(reward=RewardParams(alpha=0.4))
-        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), params.space)
-        tree = make_root(chain_nest(2), params)
+        reward_params = RewardParams(alpha=0.4)
+        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), SMALL_SPACE)
+        tree = make_root(chain_nest(2), SMALL_SPACE)
         built = count_search_nodes(monkeypatch)
-        assert apply_transfer(tree, history, params) == (2, 2)
+        assert apply_transfer(tree, history, reward_params) == (2, 2)
         assert built == []
         assert (tree.visits, tree.terminal_count) == (4, 0)
-        assert tree.total_reward == 2 * 1.0 + 2 * params.reward.r_penalty
+        assert tree.total_reward == 2 * 1.0 + 2 * reward_params.r_penalty
         # The first read hands every path down one level, and no further.
         assert len(tree.children) == len(built) == 3
         assert all(child._pending for child in tree.children.values())
@@ -752,7 +746,9 @@ class TestLazyTransfer:
         monkeypatch.setattr(mcts, "apply_transfer", counting_transfer)
         session = make_session(SyntheticLandscape(seed=1), max_unique=600)
         params = MctsParams(per_run_budget=60, n_walks=10)
-        search(session, params, chain_nest(3, arrays=("A", "B")), random.Random(1), random.Random(2))
+        nest = chain_nest(3, arrays=("A", "B"))
+        rngs = random.Random(1), random.Random(2)
+        search(session, nest, SpaceParams(), DEFAULT_REWARD, params, *rngs)
         assert in_transfer == [0] * session.phases == [0] * 11
         # An eager replay of every path builds 2,288 here, 743 of them in the transfer.
         assert len(built) == 1880
@@ -766,10 +762,11 @@ class TestLazyTransfer:
     def test_a_fully_read_tree_equals_the_eager_replay(self, rng, r_penalty, alpha):
         nest = random_nest(rng)
         reward_params = RewardParams(alpha=alpha, r_penalty=r_penalty)
-        params = MctsParams(space=random_params(rng, d_max=4), reward=reward_params)
-        history = random_history(rng, nest, params.space)
-        lazy, eager = make_root(nest, params), make_root(nest, params)
-        assert apply_transfer(lazy, history, params) == eager_transfer(eager, history, params)
+        space_params = random_params(rng, d_max=4)
+        history = random_history(rng, nest, space_params)
+        lazy, eager = make_root(nest, space_params), make_root(nest, space_params)
+        counts = apply_transfer(lazy, history, reward_params)
+        assert counts == eager_transfer(eager, history, reward_params)
         assert_same_tree(lazy, eager)
 
     @pytest.mark.parametrize("r_penalty", [-1.0, -0.3])
@@ -777,13 +774,12 @@ class TestLazyTransfer:
         self, monkeypatch, r_penalty
     ):
         def run():
-            config = restart_heavy_config()
-            reward_params = RewardParams(r_penalty=r_penalty)
-            config = replace(config, search=replace(config.search, reward=reward_params))
+            config = replace(restart_heavy_config(), reward=RewardParams(r_penalty=r_penalty))
             return [r.to_dict() for r in run_experiment(config).records]
 
-        def reading_transfer(tree, history, params, apply_transfer=mcts.apply_transfer):
-            counts = apply_transfer(tree, history, params)
+        def reading_transfer(tree, history, reward_params, apply_transfer=mcts.apply_transfer):
+            assert reward_params.r_penalty == r_penalty
+            counts = apply_transfer(tree, history, reward_params)
             read_every_node(tree)
             return counts
 
@@ -792,12 +788,17 @@ class TestLazyTransfer:
         assert run() == lazy
 
 
+def search_small(session, nest, walks_seed, expand_seed, **knobs):
+    """``search`` over ``SMALL_SPACE`` with the default reward and ``MctsParams(**knobs)``."""
+    rngs = random.Random(walks_seed), random.Random(expand_seed)
+    search(session, nest, SMALL_SPACE, DEFAULT_REWARD, MctsParams(**knobs), *rngs)
+
+
 @pytest.mark.usefixtures("checked")
 class TestSearch:
     def test_budget_is_exhausted_exactly(self):
-        params = small_params()
         session = make_session(SyntheticLandscape(seed=21), max_unique=40)
-        search(session, params, chain_nest(2), random.Random(1), random.Random(2))
+        search_small(session, chain_nest(2), 1, 2)
         assert session.unique_evaluations == 40
         assert len(session.records) == 41  # root plus the budget
         assert session.best.h == max(r.h for r in session.records if r.h is not None)
@@ -806,7 +807,7 @@ class TestSearch:
     def test_search_is_deterministic(self):
         def run():
             session = make_session(SyntheticLandscape(seed=5), max_unique=30)
-            search(session, small_params(), chain_nest(2), random.Random(3), random.Random(4))
+            search_small(session, chain_nest(2), 3, 4)
             return [(r.iteration, r.key, r.h) for r in session.records]
 
         assert run() == run()
@@ -817,29 +818,27 @@ class TestSearch:
 
         session = make_session(broken)
         with pytest.raises(RootEvaluationError):
-            search(session, small_params(), chain_nest(1), random.Random(0), random.Random(0))
+            search_small(session, chain_nest(1), 0, 0)
 
     def test_frozen_nest_stops_after_the_root(self):
         nest = LoopNest((Loop("i", transformable=False),))
         session = make_session(flat_landscape())
-        search(session, small_params(), nest, random.Random(0), random.Random(0))
+        search_small(session, nest, 0, 0)
         assert [r.key for r in session.records] == [""]
         assert session.best.h == 1.0
         assert session.stop_reason == "space_exhausted"
 
     def test_small_phases_restart_and_keep_history(self):
-        params = small_params(per_run_budget=5, n_walks=2)
         session = make_session(SyntheticLandscape(seed=8), max_unique=25)
-        search(session, params, chain_nest(2), random.Random(6), random.Random(7))
+        search_small(session, chain_nest(2), 6, 7, per_run_budget=5, n_walks=2)
         history = session.records
         phases = {r.phase for r in history}
         assert len(phases) >= 3  # root phase plus several restarts
         assert [r.iteration for r in history] == list(range(len(history)))
 
     def test_invariants_hold_throughout_a_run(self, checked):
-        params = small_params(per_run_budget=10)
         session = make_session(SyntheticLandscape(seed=13), max_unique=30)
-        search(session, params, chain_nest(2), random.Random(9), random.Random(10))
+        search_small(session, chain_nest(2), 9, 10, per_run_budget=10)
         assert session.unique_evaluations == 30
         # Every counted iteration was a checked playout.
         assert checked.count(True) == session.iterations >= 30
@@ -923,8 +922,9 @@ class TestPhaseEnd:
         session = SearchSession(
             CachedEvaluator(SyntheticLandscape(seed=3)), budget, "mcts", simulated=True
         )
-        params = MctsParams(space=space_params, **knobs)
-        search(session, params, nest, random.Random(1), random.Random(2))
+        params = MctsParams(**knobs)
+        rngs = random.Random(1), random.Random(2)
+        search(session, nest, space_params, DEFAULT_REWARD, params, *rngs)
         phases = [r.args for r in caplog.records if r.funcName == "search"]
         ended = [p["ended"] for p in phases]
         assert reason in ended and set(ended) <= PHASE_ENDS

@@ -117,7 +117,8 @@ def run_restart_heavy(tmp_path, seed, reward=RewardParams()):
         method="mcts",
         seed=seed,
         budget=Budget(max_unique=600, max_iterations=60000),
-        search=MctsParams(per_run_budget=60, n_walks=10, reward=reward),
+        reward=reward,
+        search=MctsParams(per_run_budget=60, n_walks=10),
         out_dir=str(tmp_path),
     )
     summary = run_experiment(config)
@@ -133,22 +134,22 @@ def test_restart_heavy_mcts_outputs_are_pinned(tmp_path, seed):
 
 # The same runs with a penalty that is not a power of two, so a node's
 # summed reward depends on the order of its additions (with the default
-# -1.0 every sum is a whole number). On seed 1, ten of the eleven phases
-# transfer both upper-tail and penalized records. The penalty's size
-# changes no choice of these runs, so the digests equal the default's.
+# -1.0 every sum is a whole number). On seed 1, seven of the eleven
+# phases transfer both upper-tail and penalized records. A penalized
+# path's value steers later choices, so each log differs from the default's.
 # seed -> (sha256 of log.jsonl, sha256 of summary.json)
 PINNED_RESTARTS_FRACTIONAL_PENALTY = {
     1: (
-        "999ff6956265d3ef96abd8f81dc40dad7b1ca691e9212e8c947e4ddc61d6e3b2",
-        "ae6b93335be8b14313cfa06de56b9f72346f56abe5b8207b2ca637864584e3fe",
+        "8106532f675233814b2a594da3ebca83be0d731eb32a592b86d50d64a7042ae6",
+        "cef02cb573955f714563425e4146ca8aa961829f0f3489b6ad0d7e6b324b467c",
     ),
     2: (
-        "a620c9bcd61bf9bf53aff33269012b6ae2b46cbc955cd332738294708dfffd34",
-        "ac5cd45aa86f5e5559b68c8853d4d81671494a4f877206d560f6fd2307168510",
+        "c20cd9246ccd231fd5d7c9cde596f4f06caa60d93efdb5226ce355f15e54c172",
+        "c475c5954c46a4fbad8ca22e0c2701075994d2f73973a4b305e8220025443a63",
     ),
     3: (
-        "e375220f859a59fb639c892d2c89942a5987171efc53bbd24969c243b95ad805",
-        "6258b4b7e4f48a67ef5a4403d3c552aee19d1f8844ae80cf57d3bfb4b1b46ee6",
+        "35b6adde5730f5876b1515baa1f6cd26c078aeb0b9949d7c71a75120d63a2fbb",
+        "f173d7645388dc18f8ba5ec1b307cbb7e8f33bb8a55f0e4b39546d70816dae68",
     ),
 }
 
@@ -157,6 +158,7 @@ PINNED_RESTARTS_FRACTIONAL_PENALTY = {
 def test_restart_heavy_mcts_with_a_fractional_penalty_is_pinned(tmp_path, seed):
     digests = run_restart_heavy(tmp_path, seed, RewardParams(r_penalty=-0.3))
     assert digests == PINNED_RESTARTS_FRACTIONAL_PENALTY[seed]
+    assert digests[0] != PINNED_RESTARTS[seed][0]
 
 
 BENCH_RESTART = (
