@@ -4,13 +4,15 @@ The digests are the sha256 of ``log.jsonl`` and ``summary.json`` for the
 demo experiment under every method and seeds 1-3 on the synthetic
 evaluator, and for a restart-heavy mcts run (11 phases, so history
 transfer replays onto ten fresh trees), once with the default penalty and
-once with a fractional one. Two runs of the same code matching each other (criterion 8)
+once with a fractional one, and for one long demo run whose phase
+records are pinned too. Two runs of the same code matching each other (criterion 8)
 cannot catch a refactor that changes behaviour; these digests can. A
 change that means to alter the search re-pins them and says so in
 CHANGES.md. Every pinned run ends on its unique-evaluation budget.
 """
 
 import hashlib
+import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,3 +180,51 @@ def test_bench_restart_workload_log_is_pinned(tmp_path):
     assert (summary.unique_evaluations, summary.phases) == (3000, 53)
     assert summary.stop_reason == "unique_budget"
     assert sha256(tmp_path / "log.jsonl") == PINNED_BENCH_RESTART_LOG
+
+
+# The demo experiment's mcts run on seed 2 at a 3000-evaluation budget
+# (53 phases): its phase 5 is the one pinned phase that ends on
+# ``same_config`` at the default limit of 10, after 1,189 iterations.
+LONG_DEMO_BUDGET = Budget(max_unique=3000, max_iterations=300000)
+PINNED_LONG_DEMO = (
+    "019e08c0c10dc516e9806f02adf9c1627de30756cfd63d078d124c6020e3ed85",
+    "475c818b14f8171b3a369ebe6bf2d4892e86936e00c7fb8577f0661a67ba3a11",
+)
+# Each phase's debug record: (d_star, fresh, iterations, ended).
+PINNED_LONG_DEMO_PHASES = [
+    (4, 60, 61, "per_run_budget"), (5, 60, 61, "per_run_budget"), (4, 60, 61, "per_run_budget"),
+    (3, 60, 62, "per_run_budget"), (4, 60, 61, "per_run_budget"), (1, 29, 1189, "same_config"),
+    (5, 60, 63, "per_run_budget"), (5, 58, 62, "no_improve"), (2, 58, 63, "no_improve"),
+    (4, 57, 64, "no_improve"), (2, 59, 66, "no_improve"), (4, 56, 61, "no_improve"),
+    (3, 59, 64, "no_improve"), (5, 58, 64, "no_improve"), (3, 59, 63, "no_improve"),
+    (3, 58, 60, "no_improve"), (4, 56, 63, "no_improve"), (4, 59, 62, "no_improve"),
+    (5, 59, 62, "no_improve"), (3, 59, 64, "no_improve"), (5, 58, 63, "no_improve"),
+    (3, 58, 62, "no_improve"), (5, 57, 63, "no_improve"), (4, 58, 64, "no_improve"),
+    (3, 59, 62, "no_improve"), (3, 56, 65, "no_improve"), (4, 57, 61, "no_improve"),
+    (4, 57, 62, "no_improve"), (5, 59, 62, "no_improve"), (3, 58, 65, "no_improve"),
+    (3, 56, 62, "no_improve"), (5, 60, 67, "per_run_budget"), (2, 58, 75, "no_improve"),
+    (5, 59, 62, "no_improve"), (3, 54, 61, "no_improve"), (3, 59, 62, "no_improve"),
+    (4, 57, 61, "no_improve"), (3, 57, 64, "no_improve"), (4, 58, 63, "no_improve"),
+    (4, 57, 62, "no_improve"), (5, 57, 63, "no_improve"), (3, 58, 63, "no_improve"),
+    (5, 59, 64, "no_improve"), (3, 57, 62, "no_improve"), (4, 58, 60, "no_improve"),
+    (4, 57, 61, "no_improve"), (3, 56, 63, "no_improve"), (5, 55, 64, "no_improve"),
+    (4, 58, 62, "no_improve"), (3, 58, 63, "no_improve"), (5, 57, 63, "no_improve"),
+    (5, 58, 64, "no_improve"), (5, 16, 20, "global_budget"),
+]
+
+
+def test_long_demo_run_with_a_same_config_phase_is_pinned(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="pragmatune")
+    config = load_experiment_config(DEMO_EXPERIMENT)
+    config = replace(config, seed=2, budget=LONG_DEMO_BUDGET, out_dir=str(tmp_path))
+    summary = run_experiment(config)
+    assert (summary.stop_reason, summary.unique_evaluations, summary.phases) == (
+        "unique_budget",
+        3000,
+        53,
+    )
+    phases = [r.args for r in caplog.records if r.funcName == "search"]
+    assert [(p["d_star"], p["fresh"], p["iterations"], p["ended"]) for p in phases] == (
+        PINNED_LONG_DEMO_PHASES
+    )
+    assert (sha256(tmp_path / "log.jsonl"), sha256(tmp_path / "summary.json")) == PINNED_LONG_DEMO
