@@ -38,8 +38,8 @@ print(f"root fan-out: {n}")
 for index in (0, 1, n - 2, n - 1):
     print(f"  child {index:2d}: {child_transformation(root, index, params)}")
 
-# child_index inverts child_transformation, which is what lets restart
-# transfer replay old configurations onto a fresh tree by arithmetic.
+# child_index inverts child_transformation: it scans the node's
+# children for the first one whose step equals the given step.
 step = child_transformation(root, 21, params)
 assert child_index(root, step, params) == 21
 

@@ -187,9 +187,11 @@ def build_evaluator(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one method on one nest and return (and optionally persist) results.
 
-    Once the root is measured, the log and summary are written however
-    the search ends; an exception leaving it sets the stop reason to
-    ``interrupted`` (KeyboardInterrupt) or ``error``, then propagates.
+    The output directory, if any, is made before the root is measured,
+    so an unusable one fails before any evaluation. Once the root is
+    measured, the log and summary are written however the search ends;
+    an exception leaving it sets the stop reason to ``interrupted``
+    (KeyboardInterrupt) or ``error``, then propagates.
     Either way the run ends with one info log line: its stop reason,
     unique evaluations, phases and elapsed time.
 
@@ -200,6 +202,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """
     nest = load_loop_nest(config.nest_text)
     evaluator, simulated = build_evaluator(config)
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     session = SearchSession(
         CachedEvaluator(evaluator), config.budget, config.method, simulated=simulated
     )
@@ -246,7 +250,6 @@ def _summarize(config: ExperimentConfig, session: SearchSession) -> ExperimentSu
     )
     if config.out_dir is not None:
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_log(records, out / "log.jsonl")
         (out / "summary.json").write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
         logger.info("wrote %s and %s", out / "log.jsonl", out / "summary.json")

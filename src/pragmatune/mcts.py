@@ -28,7 +28,6 @@ import logging
 import math
 import random
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -241,34 +240,6 @@ def backpropagate(path: list[SearchNode], value: float) -> None:
         node.total_reward += value
 
 
-class IterationLog:
-    """Per-phase convergence bookkeeping.
-
-    The no-improvement run counts evaluator-producing iterations only;
-    the same-configuration window advances on every iteration, cache
-    hits included.
-    """
-
-    def __init__(self, no_improve_limit: int, same_config_limit: int):
-        self.no_improve_limit = no_improve_limit
-        self.no_improve_run = 0
-        self.recent_keys: deque[str] = deque(maxlen=same_config_limit)
-
-    def note(self, key: str, improved: bool, fresh: bool = True) -> None:
-        self.recent_keys.append(key)
-        if fresh:
-            self.no_improve_run = 0 if improved else self.no_improve_run + 1
-
-
-def detect_convergence(log: IterationLog) -> str | None:
-    """Why the phase converged, or None: best-h stalled for the limit
-    (``no_improve``) or terminals stopped moving (``same_config``)."""
-    if log.no_improve_run >= log.no_improve_limit:
-        return "no_improve"
-    keys = log.recent_keys
-    return "same_config" if len(keys) == keys.maxlen and len(set(keys)) == 1 else None
-
-
 def _descend(path: list[SearchNode], depth: int, rng: random.Random) -> None:
     """Extend ``path`` by uniformly drawn children down to ``depth`` or a dead end."""
     node = path[-1]
@@ -366,7 +337,10 @@ def search(
 
     The root is measured first and enters the history with the empty
     path; its failure is fatal. A root with no children ends the run as
-    ``space_exhausted``.
+    ``space_exhausted``. A phase converges when ``no_improve`` counts
+    ``no_improve_limit`` fresh playouts since the best last improved, or
+    when ``same`` counts ``same_config_limit`` playouts in a row, cache
+    hits included, that measured one key.
     """
     target = TargetState(reward_params)
     nodes = _SpaceNodes(nest, space_params)
@@ -382,35 +356,35 @@ def search(
         upper, penalized = apply_transfer(tree, nodes.history, reward_params)
         evals_before, iterations_before = session.unique_evaluations, session.iterations
         d_star = learn_depth(tree, session, params, reward_params, target, rng_walks, phase)
-        phase_evals = session.unique_evaluations - evals_before
-        log = IterationLog(params.no_improve_limit, params.same_config_limit)
-        iteration_cap = params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
-        phase_iterations = 0
-        while True:
-            if phase_evals >= params.per_run_budget:
+        iteration_cap = session.iterations + params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
+        no_improve = same = 0
+        last_key = ended = None
+        while ended is None:
+            if session.unique_evaluations - evals_before >= params.per_run_budget:
                 ended = "per_run_budget"
-            elif phase_iterations >= iteration_cap:
+            elif session.iterations >= iteration_cap:
                 ended = "iteration_cap"
             elif session.out_of_budget():
                 ended = "global_budget"
+            elif no_improve >= params.no_improve_limit:
+                ended = "no_improve"
+            elif same >= params.same_config_limit:
+                ended = "same_config"
             else:
-                ended = detect_convergence(log)
-            if ended:
-                break
-            phase_iterations += 1
-            path = select(tree, d_star, params.c)
-            leaf = path[-1]
-            if leaf.depth < d_star and len(leaf.children) < leaf.n_children:
-                path.append(expand(leaf, rng_expand))
-            _descend(path, d_star, rng_walks)
-            measured = _playout(path, session, reward_params, target, phase)
-            if measured is None:
-                ended = "global_budget"
-                break
-            record, fresh = measured
-            if fresh:
-                phase_evals += 1
-            log.note(path[-1].space.key, fresh and session.best is record, fresh)
+                path = select(tree, d_star, params.c)
+                leaf = path[-1]
+                if leaf.depth < d_star and len(leaf.children) < leaf.n_children:
+                    path.append(expand(leaf, rng_expand))
+                _descend(path, d_star, rng_walks)
+                measured = _playout(path, session, reward_params, target, phase)
+                if measured is None:
+                    ended = "global_budget"
+                    continue
+                record, fresh = measured
+                if fresh:
+                    no_improve = 0 if session.best is record else no_improve + 1
+                same = same + 1 if record.key == last_key else 1
+                last_key = record.key
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "phase %(phase)d: d*=%(d_star)d, transfer upper=%(upper)d "
@@ -421,7 +395,7 @@ def search(
                     "d_star": d_star,
                     "upper": upper,
                     "penalized": penalized,
-                    "fresh": phase_evals,
+                    "fresh": session.unique_evaluations - evals_before,
                     "iterations": session.iterations - iterations_before,
                     "ended": ended,
                 },

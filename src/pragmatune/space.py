@@ -7,7 +7,7 @@ unroll < reverse < pack, and within a kind children follow loop-id
 order, then parameter-list order (tile sizes outer, peel variants
 inner; full unrolling before the partial factors). That order is
 written once, in ``child_transformation``; ``child_index`` inverts it
-by enumerating a node's children on its first call.
+by scanning a node's children for the step.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class _Census:
     counted; ``child_transformation`` finds its target among ``loops``.
     """
 
-    __slots__ = ("params", "heads", "perms", "loops", "section_sizes", "total", "indices")
+    __slots__ = ("params", "heads", "perms", "loops", "section_sizes", "total")
 
     def __init__(self, nest: LoopNest, params: SpaceParams):
         self.params = params
@@ -158,7 +158,6 @@ class _Census:
             packs,
         )
         self.total = sum(self.section_sizes)
-        self.indices: dict[Transformation, int] | None = None  # child_index's table
 
 
 def _census(node: SpaceNode, params: SpaceParams) -> _Census:
@@ -227,18 +226,11 @@ def child(node: SpaceNode, index: int, params: SpaceParams) -> SpaceNode:
 
 
 def child_index(node: SpaceNode, step: Transformation, params: SpaceParams) -> int:
-    """Inverse of child_transformation, from a table the node's first call builds."""
-    census = _census(node, params)
-    if census.indices is None:
-        census.indices = {}
-        for index in range(census.total):
-            census.indices.setdefault(child_transformation(node, index, params), index)
-    try:
-        return census.indices[step]
-    except (KeyError, TypeError):  # TypeError: an unhashable step is no child either
-        raise ValueError(
-            f"{step_key(step)} is not a child of configuration {node.key!r}"
-        ) from None
+    """Inverse of child_transformation: the first child index whose step equals ``step``."""
+    for index in range(child_count(node, params)):
+        if child_transformation(node, index, params) == step:
+            return index
+    raise ValueError(f"{step_key(step)} is not a child of configuration {node.key!r}")
 
 
 def random_walk(

@@ -7,8 +7,9 @@ pragmatune.space is checked against something that cannot share its
 bugs. ``uct_score`` is the reference definition of the score
 ``mcts.select`` computes inline, ``index_path`` the reference for the
 path a playout records, ``eager_transfer`` the reference for the tree
-``mcts.apply_transfer`` hands down lazily, and ``consistent_playouts``
-checks the tree's visit identity after every playout of a search.
+``mcts.apply_transfer`` hands down lazily, ``consistent_playouts``
+checks the tree's visit identity after every playout of a search, and
+``scripted_phase_end`` runs a phase on playouts a test writes.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import math
 import random
 from contextlib import contextmanager
 from itertools import permutations
+from types import SimpleNamespace
 from unittest import mock
 
 from pragmatune import mcts, space
+from pragmatune.evaluators import CachedEvaluator, SyntheticLandscape
 from pragmatune.loops import (
     Configuration,
     Interchange,
@@ -35,7 +38,7 @@ from pragmatune.loops import (
 from pragmatune.mcts import SearchNode, _SpaceNodes
 from pragmatune.rendering import pragma_lines
 from pragmatune.reward import RankedHistory, RewardParams, penalty_filter, quantile_split
-from pragmatune.session import EvalRecord
+from pragmatune.session import Budget, EvalRecord, SearchSession
 from pragmatune.space import SpaceParams
 
 
@@ -283,3 +286,33 @@ def consistent_playouts():
 
     with mock.patch.object(mcts, "_playout", checked):
         yield playouts
+
+
+def scripted_phase_end(script, **knobs) -> tuple[str, int]:
+    """How ``mcts.search``'s first phase ends, and after how many playouts.
+
+    Each playout measures the next ``(key, fresh, improved)`` of
+    ``script``; ``knobs`` are ``MctsParams`` fields, and the depth-learning
+    walks are skipped. One fresh, improving playout of a new key follows
+    the script, then the iteration budget ends the run, so a phase the
+    script does not end ends as ``("global_budget", len(script) + 1)``.
+    """
+    measured = iter([*script, ("after the script", True, True)])
+
+    def playout(path, session, *args):
+        key, fresh, improved = next(measured)
+        session.count_iteration()
+        record = SimpleNamespace(key=key)
+        if improved:
+            session.best = record
+        return record, fresh
+
+    evaluator = CachedEvaluator(SyntheticLandscape(seed=1))
+    session = SearchSession(evaluator, Budget(max_iterations=len(script) + 1), simulated=True)
+    params, rngs = mcts.MctsParams(**knobs), (random.Random(1), random.Random(2))
+    with mock.patch.object(mcts, "learn_depth", lambda *args: 1), mock.patch.object(
+        mcts, "_playout", playout
+    ), mock.patch.object(mcts, "logger") as logger:
+        mcts.search(session, chain_nest(2), SpaceParams(), RewardParams(), params, *rngs)
+    first = logger.debug.call_args_list[0].args[1]
+    return first["ended"], first["iterations"]

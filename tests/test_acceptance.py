@@ -34,13 +34,7 @@ from pragmatune.loops import (
     Tile,
     Unroll,
 )
-from pragmatune.mcts import (
-    IterationLog,
-    MctsParams,
-    apply_transfer,
-    detect_convergence,
-    search,
-)
+from pragmatune.mcts import MctsParams, apply_transfer, search
 from pragmatune.rendering import render_pragmas
 from pragmatune.reward import (
     RewardParams,
@@ -69,6 +63,7 @@ from helpers import (
     random_nest,
     random_params,
     ranked_history,
+    scripted_phase_end,
     uct_score,
 )
 
@@ -336,25 +331,20 @@ def test_criterion_07_convergence_thresholds_are_exact():
         params = MctsParams()
         assert params.no_improve_limit == 50 and params.same_config_limit == 10
 
-        log = IterationLog(50, 10)
-        for k in range(49):
-            log.note(f"key{k}", improved=False)
-        assert not detect_convergence(log)
-        log.note("key49", improved=False)
-        assert detect_convergence(log)
+        # Each script is one phase's playouts, (key, fresh, improved); a
+        # phase the script does not end ends on the budget one playout later.
+        stalls = [(f"key{k}", True, False) for k in range(50)]
+        assert scripted_phase_end(stalls[:49]) == ("global_budget", 50)
+        assert scripted_phase_end(stalls) == ("no_improve", 50)
 
-        log = IterationLog(50, 10)
-        for k in range(9):
-            log.note("same", improved=True)
-        assert not detect_convergence(log)
-        log.note("same", improved=True)
-        assert detect_convergence(log)
+        same = [("same", True, True)] + [("same", False, False)] * 9
+        assert scripted_phase_end(same[:9]) == ("global_budget", 10)
+        assert scripted_phase_end(same) == ("same_config", 10)
+        assert scripted_phase_end(same[:9] + [("novel", True, True)]) == ("global_budget", 11)
 
-        log = IterationLog(50, 10)
-        for k in range(9):
-            log.note("same", improved=True)
-        log.note("novel", improved=True)
-        assert not detect_convergence(log)
+        # Ten cache hits after 49 stalls: the repeats trip, the stalls stay at 49.
+        hits = [("hit", False, False)] * 10
+        assert scripted_phase_end(stalls[:49] + hits) == ("same_config", 59)
 
 
 def test_criterion_08_exact_budget_and_reproducible_logs(tmp_path):

@@ -494,7 +494,7 @@ class TestRunExperiment:
         raise_on_call(monkeypatch, 0, exc)
         with pytest.raises(type(exc)):
             run_experiment(load_experiment_config(write_experiment(experiment_dir, out=str(out))))
-        assert not out.exists()
+        assert list(out.iterdir()) == []  # made before the search, left empty
 
     def test_a_failing_root_writes_nothing(self, experiment_dir, monkeypatch):
         out = experiment_dir / "run"
@@ -502,7 +502,22 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "build_evaluator", lambda config: failing_root)
         with pytest.raises(RootEvaluationError):
             run_experiment(load_experiment_config(write_experiment(experiment_dir, out=str(out))))
-        assert not out.exists()
+        assert list(out.iterdir()) == []
+
+    def test_an_unusable_out_dir_fails_before_any_evaluation(self, experiment_dir, monkeypatch):
+        not_a_dir = experiment_dir / "file"
+        not_a_dir.write_text("")
+        calls = []
+
+        def build(config, build=harness.build_evaluator):
+            landscape, simulated = build(config)
+            return (lambda cfg: calls.append(cfg) or landscape(cfg)), simulated
+
+        monkeypatch.setattr(harness, "build_evaluator", build)
+        path = write_experiment(experiment_dir, out=str(not_a_dir / "run"))
+        with pytest.raises(NotADirectoryError):
+            run_experiment(load_experiment_config(path))
+        assert calls == []
 
     def test_synthetic_runs_are_byte_reproducible(self, experiment_dir):
         texts = []

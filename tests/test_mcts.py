@@ -6,6 +6,7 @@ import importlib
 import logging
 import math
 import random
+import sys
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from pragmatune import mcts, space
 from pragmatune.errors import RootEvaluationError
-from pragmatune.harness import ExperimentConfig, run_experiment
+from pragmatune.harness import ExperimentConfig, load_experiment_config, run_experiment
 from pragmatune.evaluators import (
     CachedEvaluator,
     CompileFailure,
@@ -35,12 +36,10 @@ from pragmatune.loops import (
     load_loop_nest,
 )
 from pragmatune.mcts import (
-    IterationLog,
     MctsParams,
     SearchNode,
     apply_transfer,
     backpropagate,
-    detect_convergence,
     expand,
     learn_depth,
     search,
@@ -68,9 +67,10 @@ from helpers import (
     random_params,
     ranked_history,
     read_every_node,
+    scripted_phase_end,
     uct_score,
 )
-from test_pinned_logs import CHAIN3_NEST, PINNED_RESTARTS
+from test_pinned_logs import CHAIN3_NEST, DEMO_EXPERIMENT, LONG_DEMO_BUDGET, PINNED_RESTARTS
 
 SMALL_SPACE = SpaceParams(
     tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
@@ -270,47 +270,51 @@ class TestAssertConsistent:
             assert_consistent(tree)
 
 
+def stalls(n: int, prefix: str = "k") -> list[tuple[str, bool, bool]]:
+    """``n`` fresh playouts of new keys, none of them improving."""
+    return [(f"{prefix}{k}", True, False) for k in range(n)]
+
+
+def repeats(key: str, n: int) -> list[tuple[str, bool, bool]]:
+    """``n`` playouts of ``key``: one fresh improvement, then cache hits."""
+    return [(key, True, True)] + [(key, False, False)] * (n - 1)
+
+
+# scripted_phase_end runs the phase loop itself on a written playout
+# sequence; a phase the script does not end ends on the global budget
+# one playout after it.
 class TestConvergence:
     def test_no_improvement_needs_the_full_limit(self):
-        log = IterationLog(no_improve_limit=50, same_config_limit=10)
-        for k in range(49):
-            log.note(f"k{k}", improved=False)
-        assert not detect_convergence(log)
-        log.note("k49", improved=False)
-        assert detect_convergence(log)
+        assert scripted_phase_end(stalls(49)) == ("global_budget", 50)
+        assert scripted_phase_end(stalls(50)) == ("no_improve", 50)
 
     def test_improvement_resets_the_run(self):
-        log = IterationLog(no_improve_limit=3, same_config_limit=10)
-        log.note("a", improved=False)
-        log.note("b", improved=False)
-        log.note("c", improved=True)
-        log.note("d", improved=False)
-        log.note("e", improved=False)
-        assert not detect_convergence(log)
+        script = stalls(2, "a") + [("c", True, True)] + stalls(2, "d")
+        assert scripted_phase_end(script, no_improve_limit=3) == ("global_budget", 6)
+        script += stalls(1, "e")
+        assert scripted_phase_end(script, no_improve_limit=3) == ("no_improve", 6)
 
     def test_same_configuration_needs_the_full_window(self):
-        log = IterationLog(no_improve_limit=50, same_config_limit=10)
-        for _ in range(9):
-            log.note("same", improved=True)
-        assert not detect_convergence(log)
-        log.note("same", improved=True)
-        assert detect_convergence(log)
+        assert scripted_phase_end(repeats("same", 9)) == ("global_budget", 10)
+        assert scripted_phase_end(repeats("same", 10)) == ("same_config", 10)
 
     def test_one_different_key_breaks_the_window(self):
-        log = IterationLog(no_improve_limit=50, same_config_limit=10)
-        for _ in range(9):
-            log.note("same", improved=True)
-        log.note("other", improved=True)
-        assert not detect_convergence(log)
+        script = repeats("same", 9) + repeats("other", 9)
+        assert scripted_phase_end(script) == ("global_budget", 19)
+        script.append(("other", False, False))
+        assert scripted_phase_end(script) == ("same_config", 19)
 
     def test_cache_hits_advance_keys_but_not_the_run(self):
-        log = IterationLog(no_improve_limit=2, same_config_limit=3)
-        log.note("a", improved=False, fresh=True)
-        log.note("x", improved=False, fresh=False)
-        log.note("x", improved=False, fresh=False)
-        assert log.no_improve_run == 1
-        log.note("x", improved=False, fresh=False)
-        assert detect_convergence(log)  # the key window tripped, not the run
+        script = stalls(1, "a") + [("x", False, False)] * 3
+        # The key run tripped at the third hit; the stall run stayed at 1.
+        assert scripted_phase_end(script, no_improve_limit=2, same_config_limit=3) == (
+            "same_config",
+            4,
+        )
+
+    def test_a_stall_is_tested_before_a_repeat(self):
+        both = dict(no_improve_limit=1, same_config_limit=1)
+        assert scripted_phase_end(stalls(1), **both) == ("no_improve", 1)
 
 
 @pytest.mark.usefixtures("checked")
@@ -914,17 +918,65 @@ PHASE_END_RUNS = {
 }
 
 
+def run_phase_end_case(reason: str) -> tuple[SearchSession, MctsParams]:
+    """Search ``PHASE_END_RUNS[reason]``; returns the session and the knobs."""
+    nest, space_params, budget, knobs = PHASE_END_RUNS[reason]
+    session = SearchSession(
+        CachedEvaluator(SyntheticLandscape(seed=3)), budget, "mcts", simulated=True
+    )
+    params = MctsParams(**knobs)
+    rngs = random.Random(1), random.Random(2)
+    search(session, nest, space_params, DEFAULT_REWARD, params, *rngs)
+    return session, params
+
+
+def trace_playouts(monkeypatch) -> tuple[Counter, defaultdict]:
+    """Spy on ``mcts._playout``, split by caller.
+
+    Returns the count of ``learn_depth`` walks per phase, and per phase
+    the main loop's measured playouts, each ``(key, fresh, improved)``;
+    ``improved`` means the session's best changed.
+    """
+    walks, playouts = Counter(), defaultdict(list)
+    playout = mcts._playout
+
+    def spy(path, session, reward_params, target, phase):
+        best = session.best
+        measured = playout(path, session, reward_params, target, phase)
+        if measured is not None:
+            if sys._getframe(1).f_code.co_name == "learn_depth":
+                walks[phase] += 1
+            else:
+                playouts[phase].append((measured[0].key, measured[1], session.best is not best))
+        return measured
+
+    monkeypatch.setattr(mcts, "_playout", spy)
+    return walks, playouts
+
+
+def convergence_point(playouts, no_improve_limit: int, same_config_limit: int):
+    """``(count, reason)`` at the first playout that reaches a convergence limit, else None.
+
+    ``no_improve`` counts fresh playouts since the last improving one;
+    ``same_config`` holds once the last ``same_config_limit`` keys are one key.
+    """
+    keys, stalled = [], 0
+    for count, (key, fresh, improved) in enumerate(playouts, 1):
+        keys.append(key)
+        if fresh:
+            stalled = 0 if improved else stalled + 1
+        if stalled >= no_improve_limit:
+            return count, "no_improve"
+        if count >= same_config_limit and len(set(keys[-same_config_limit:])) == 1:
+            return count, "same_config"
+    return None
+
+
 class TestPhaseEnd:
     @pytest.mark.parametrize("reason", sorted(PHASE_ENDS))
     def test_a_phase_record_names_the_test_that_ended_it(self, caplog, reason):
-        nest, space_params, budget, knobs = PHASE_END_RUNS[reason]
         caplog.set_level(logging.DEBUG, logger="pragmatune")
-        session = SearchSession(
-            CachedEvaluator(SyntheticLandscape(seed=3)), budget, "mcts", simulated=True
-        )
-        params = MctsParams(**knobs)
-        rngs = random.Random(1), random.Random(2)
-        search(session, nest, space_params, DEFAULT_REWARD, params, *rngs)
+        session, params = run_phase_end_case(reason)
         phases = [r.args for r in caplog.records if r.funcName == "search"]
         ended = [p["ended"] for p in phases]
         assert reason in ended and set(ended) <= PHASE_ENDS
@@ -934,6 +986,28 @@ class TestPhaseEnd:
             assert all(p["iterations"] >= cap for p in phases[:-1])
         if reason != "per_run_budget":  # that run's last phase fills both budgets at once
             assert ended[-1] == "global_budget"
+
+    @pytest.mark.parametrize("run", [*sorted(PHASE_ENDS), "long_demo"])
+    def test_a_phase_converges_at_its_first_playout_past_a_limit(self, monkeypatch, caplog, run):
+        caplog.set_level(logging.DEBUG, logger="pragmatune")
+        walks, playouts = trace_playouts(monkeypatch)
+        if run == "long_demo":  # its phase 5 ends on same_config at the default limit
+            config = load_experiment_config(DEMO_EXPERIMENT)
+            run_experiment(replace(config, seed=2, budget=LONG_DEMO_BUDGET))
+            params = config.search
+        else:
+            params = run_phase_end_case(run)[1]
+        phases = [r.args for r in caplog.records if r.funcName == "search"]
+        for p in phases:
+            main = playouts[p["phase"]]
+            assert p["iterations"] == walks[p["phase"]] + len(main)
+            point = convergence_point(main, params.no_improve_limit, params.same_config_limit)
+            if p["ended"] in ("no_improve", "same_config"):
+                assert point == (len(main), p["ended"])
+            else:  # a budget test ended it, no later than a limit was reached
+                assert point is None or point[0] == len(main)
+        if run == "long_demo":
+            assert [p["ended"] for p in phases].count("same_config") == 1
 
     def test_the_summary_counts_a_phase_that_measures_nothing_fresh(self, caplog):
         caplog.set_level(logging.DEBUG, logger="pragmatune")

@@ -153,24 +153,6 @@ class TestIndexing:
             with pytest.raises(TypeError, match="not a transformation"):
                 child_index(root, not_a_step, params)
 
-    def test_a_second_call_enumerates_nothing(self, monkeypatch):
-        root = root_node(chain_nest(2, arrays=("A",)))
-        params = SpaceParams()
-        enumerated = []
-
-        def counting(node, index, params, inner=space.child_transformation):
-            enumerated.append(index)
-            return inner(node, index, params)
-
-        monkeypatch.setattr(space, "child_transformation", counting)
-        last = child_count(root, params) - 1
-        assert child_index(root, Pack("i1", "A"), params) == last
-        assert enumerated == list(range(last + 1))
-        enumerated.clear()
-        assert child_index(root, Pack("i1", "A"), params) == last
-        assert child_index(root, Interchange("i0", (1, 0)), params) == 20
-        assert enumerated == []
-
     def test_child_extends_configuration(self):
         root = root_node(chain_nest(1))
         params = SpaceParams()
