@@ -26,11 +26,15 @@ def random_search(
 ) -> None:
     """Uniform random walks of uniform random depth, deduped by the cache.
 
-    A finite space saturates the cache without consuming budget, so runs
-    on small spaces should bound Budget.max_iterations.
+    A root with no children ends the run as ``space_exhausted``. Any
+    other finite space saturates the cache without consuming budget, so
+    runs on small spaces should bound Budget.max_iterations.
     """
     session.evaluate_root()
     start = root_node(nest)
+    if child_count(start, params) == 0:
+        session.stop_reason = "space_exhausted"
+        return
     while True:
         node = random_walk(start, rng.randint(1, params.d_max), rng, params)
         if session.measure(node.config, phase=0) is None:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import baselines, mcts
-from .errors import ExperimentConfigError, check_fields, from_json
+from .errors import ExperimentConfigError, MissingAnchorError, check_fields, from_json
 from .evaluators import (
     CachedEvaluator,
     ExternalJobSpec,
@@ -32,6 +32,7 @@ from .evaluators import (
 )
 from .loops import LoopNest, load_loop_nest
 from .mcts import MctsParams
+from .rendering import template_anchors
 from .reports import write_log
 from .reward import RewardParams
 from .session import Budget, EvalRecord, SearchSession
@@ -145,7 +146,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             method=doc.get("method", "mcts"),
             seed=doc.get("seed", 0),
             evaluator=evaluator,
-            out_dir=doc.get("out"),
+            out_dir=None if doc.get("out") is None else str(base_dir / doc["out"]),
             **sections,
         )
     except (TypeError, ValueError) as exc:
@@ -187,11 +188,12 @@ def build_evaluator(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run one method on one nest and return (and optionally persist) results.
 
-    The output directory, if any, is made before the root is measured,
-    so an unusable one fails before any evaluation. Once the root is
-    measured, the log and summary are written however the search ends;
-    an exception leaving it sets the stop reason to ``interrupted``
-    (KeyboardInterrupt) or ``error``, then propagates.
+    Before the root is measured, an external run's template must anchor
+    each transformable loop (MissingAnchorError names those it misses),
+    and the output directory, if any, is made: neither fails mid-run.
+    Once the root is measured, the log and summary are written however
+    the search ends; an exception leaving it sets the stop reason to
+    ``interrupted`` (KeyboardInterrupt) or ``error``, then propagates.
     Either way the run ends with one info log line: its stop reason,
     unique evaluations, phases and elapsed time.
 
@@ -201,6 +203,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     live objects.
     """
     nest = load_loop_nest(config.nest_text)
+    spec = _evaluator_spec(config.evaluator)
+    if isinstance(spec, ExternalJobSpec):
+        anchors = template_anchors(spec.source_template)
+        if missing := [l.id for l in nest.walk() if l.transformable and l.id not in anchors]:
+            raise MissingAnchorError(f"template has no anchor for loop(s) {', '.join(missing)}")
     evaluator, simulated = build_evaluator(config)
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)

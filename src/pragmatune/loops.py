@@ -2,9 +2,9 @@
 
 A nest is an immutable tree of loops plus the array names available for
 packing. Loop bodies are not modeled; a nest records only the nesting
-structure, per-loop transformability flags, and the origin of loops
-created by tiling. Applying a transformation returns a new nest and
-never mutates its input.
+structure and per-loop transformability flags; a loop created by tiling
+is named after the loop it came from (see ``ID_SEP``). Applying a
+transformation returns a new nest and never mutates its input.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import (
     from_json,
 )
 
-# Joins a parent loop id with the "f"/"t" suffix of loops created by
-# tiling, so document ids may not contain it.
+# Joins a loop id with the suffix tiling gives each loop it makes from
+# it, "f" (floor) or "t" (tile), so document ids may not contain it.
 ID_SEP = "."
 
 
@@ -33,9 +33,8 @@ class Loop(NamedTuple):
     ``transformable`` gates every transformation and is cleared for a
     whole subtree by thread parallelization. ``unrollable`` and
     ``reversible`` are consumed by partial unrolling and by reversal.
-    ``packed`` holds array names already packed at this loop. ``origin``
-    tags loops created by tiling ("floor" or "tile"). A named tuple, so
-    ``apply`` builds and ``_replace``s loops at tuple cost.
+    ``packed`` holds array names already packed at this loop. A named
+    tuple, so ``apply`` builds and ``_replace``s loops at tuple cost.
     """
 
     id: str
@@ -44,7 +43,6 @@ class Loop(NamedTuple):
     unrollable: bool = True
     reversible: bool = True
     packed: frozenset[str] = frozenset()
-    origin: str | None = None
 
     def walk(self) -> Iterator[Loop]:
         yield self
@@ -318,9 +316,9 @@ def _replacement(step: Transformation, loop: Loop, parent: Loop | None, arrays) 
             chain = _chain_from(loop)
             inner = chain[-1].children
             for orig in reversed(chain):
-                inner = (Loop(id=orig.id + ID_SEP + "t", children=inner, origin="tile"),)
+                inner = (Loop(orig.id + ID_SEP + "t", inner),)
             for orig in reversed(chain):
-                inner = (Loop(id=orig.id + ID_SEP + "f", children=inner, origin="floor"),)
+                inner = (Loop(orig.id + ID_SEP + "f", inner),)
             return inner
         case Interchange(_, perm):
             chain = _chain_from(loop)

@@ -69,6 +69,16 @@ def pragma_lines(config: Configuration) -> list[str]:
     return [f"#pragma clang loop {pragma_clause(s)}" for s in config.steps]
 
 
+def template_anchors(template: str) -> dict[str, tuple[int, str]]:
+    """Loop id -> (line number, indent) of its anchor; the first anchor of an id wins."""
+    anchors: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(template.split("\n")):
+        found = _ANCHOR_LINE.match(line)
+        if found:
+            anchors.setdefault(found.group(2), (lineno, found.group(1)))
+    return anchors
+
+
 def render_pragmas(config: Configuration, template: str) -> str:
     """Insert a configuration's pragma lines into an annotated template.
 
@@ -76,30 +86,17 @@ def render_pragmas(config: Configuration, template: str) -> str:
     target descends from a loop with no anchor in the template raises
     MissingAnchorError.
     """
-    lines = template.split("\n")
-    anchors: dict[str, int] = {}
-    indents: dict[str, str] = {}
-    for lineno, line in enumerate(lines):
-        found = _ANCHOR_LINE.match(line)
-        if found and found.group(2) not in anchors:
-            anchors[found.group(2)] = lineno
-            indents[found.group(2)] = found.group(1)
-
-    stacks: dict[str, list[Transformation]] = {}
+    anchors = template_anchors(template)
+    inserted: dict[int, list[str]] = {}  # anchor line -> its pragma lines, in step order
     for step in config.steps:
         anchor = anchor_id(target_loop(step))
         if anchor not in anchors:
-            raise MissingAnchorError(
-                f"template has no anchor /*@loop:{anchor}*/ for {step!r}"
-            )
-        stacks.setdefault(anchor, []).append(step)
+            raise MissingAnchorError(f"template has no anchor /*@loop:{anchor}*/ for {step!r}")
+        lineno, indent = anchors[anchor]
+        inserted.setdefault(lineno, []).append(f"{indent}#pragma clang loop {pragma_clause(step)}")
 
     out: list[str] = []
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(template.split("\n")):
         out.append(line)
-        for anchor, steps in stacks.items():
-            if anchors[anchor] == lineno:
-                indent = indents[anchor]
-                for step in reversed(steps):
-                    out.append(f"{indent}#pragma clang loop {pragma_clause(step)}")
+        out.extend(reversed(inserted.get(lineno, ())))
     return "\n".join(out)

@@ -86,20 +86,12 @@ class EvalRecord:
             raise ValueError("h must be present exactly for successful outcomes")
 
     def to_dict(self) -> dict:
-        outcome = {"kind": _KIND_NAMES[type(self.outcome)], **vars(self.outcome)}
-        return {
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "method": self.method,
-            "key": self.key,
-            "pragmas": list(self.pragmas),
-            "outcome": outcome,
-            "h": self.h,
-            "f": self.f,
-            "best_so_far_h": self.best_so_far_h,
-            "depth": self.depth,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        """Every field but ``config``, in field order: one line of the run log."""
+        doc = vars(self).copy()
+        del doc["config"]
+        doc["pragmas"] = list(self.pragmas)
+        doc["outcome"] = {"kind": _KIND_NAMES[type(self.outcome)], **vars(self.outcome)}
+        return doc
 
 
 def record_from_dict(doc: dict) -> EvalRecord:

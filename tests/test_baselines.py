@@ -183,6 +183,19 @@ class TestSharedBehavior:
             assert [r.iteration for r in history] == list(range(len(history)))
             assert best.h >= 1.0 or all(r.h is None for r in history[1:])
 
+    @pytest.mark.parametrize(
+        "search",
+        [lambda s, n, p: random_search(s, n, p, random.Random(0)), breadth_first, global_greedy],
+        ids=["rs", "bf", "gg"],
+    )
+    def test_a_root_without_children_exhausts_the_space(self, search):
+        nest = load_loop_nest('{"loops": [{"id": "i", "transformable": false}]}')
+        # The iteration cap only keeps a regression from hanging the suite.
+        session = make_session(SyntheticLandscape(seed=1), max_iterations=50)
+        search(session, nest, SpaceParams())
+        assert session.unique_evaluations == 0
+        assert session.stop_reason == "space_exhausted"
+
 
 class TestIterationBudget:
     @pytest.mark.parametrize("search", [breadth_first, global_greedy], ids=["bf", "gg"])

@@ -14,7 +14,7 @@ import pytest
 from pragmatune import harness, mcts
 from pragmatune import session as session_module
 from pragmatune.cli import main
-from pragmatune.errors import ExperimentConfigError, RootEvaluationError
+from pragmatune.errors import ExperimentConfigError, MissingAnchorError, RootEvaluationError
 from pragmatune.evaluators import CompileFailure, ExternalJobSpec, SyntheticLandscape, SyntheticSpec
 from pragmatune.harness import (
     LOG_ENV_VAR,
@@ -270,7 +270,7 @@ class TestLoadExperimentConfig:
             experiment_dir, seed=12, out="run", evaluator={"base_time": 2, "failure_rate": 0}
         )
         config = load_experiment_config(path)
-        assert config.seed == 12 and config.out_dir == "run"
+        assert config.seed == 12 and config.out_dir == str(experiment_dir / "run")
         assert config.evaluator["base_time"] == 2.0
         landscape = build_evaluator(config)[0]
         assert landscape.failure_rate == 0.0 and type(landscape.failure_rate) is float
@@ -278,6 +278,16 @@ class TestLoadExperimentConfig:
         # A string is never read as a number.
         with pytest.raises(ExperimentConfigError, match="'seed' must be int"):
             load_experiment_config(write_experiment(experiment_dir, seed="12"))
+
+    def test_out_resolves_beside_the_file(self, experiment_dir, tmp_path_factory, monkeypatch):
+        (experiment_dir / "cfg").mkdir()
+        (experiment_dir / "cfg" / "nest.json").write_text(json.dumps(NEST_DOC))
+        path = write_experiment(experiment_dir / "cfg", out="run")
+        cwd = tmp_path_factory.mktemp("cwd")
+        monkeypatch.chdir(cwd)
+        run_experiment(load_experiment_config(path))
+        assert (experiment_dir / "cfg" / "run" / "log.jsonl").exists()
+        assert list(cwd.iterdir()) == []
 
     def test_external_evaluator_loads_the_template(self, experiment_dir):
         (experiment_dir / "kernel.c").write_text("/*@loop:i*/\nfor(;;);\n")
@@ -518,6 +528,41 @@ class TestRunExperiment:
         with pytest.raises(NotADirectoryError):
             run_experiment(load_experiment_config(path))
         assert calls == []
+
+    @staticmethod
+    def ijk_external(experiment_dir, k_transformable, **overrides):
+        """An i/j/k nest under a template that anchors i and j only."""
+        k = {"id": "k", "transformable": k_transformable}
+        nest = {"loops": [{"id": "i", "children": [{"id": "j", "children": [k]}]}]}
+        (experiment_dir / "ijk.json").write_text(json.dumps(nest))
+        (experiment_dir / "kernel.c").write_text(
+            "/*@loop:i*/\nfor(;;)\n  /*@loop:j*/\n  for(;;)\n    for(;;);\n"
+        )
+        evaluator = {**EXTERNAL, "compile_cmd": "true {src} {out}", "run_cmd": "echo 1.0"}
+        return write_experiment(
+            experiment_dir, nest="ijk.json", method="bf", evaluator=evaluator, **overrides
+        )
+
+    def test_a_missing_anchor_fails_before_any_evaluation(self, experiment_dir, monkeypatch):
+        calls = []
+
+        def build(config, build=harness.build_evaluator):
+            evaluate, simulated = build(config)
+            return (lambda cfg: calls.append(cfg) or evaluate(cfg)), simulated
+
+        monkeypatch.setattr(harness, "build_evaluator", build)
+        out = experiment_dir / "run"
+        path = self.ijk_external(experiment_dir, True, out=str(out))
+        with pytest.raises(MissingAnchorError, match=r"loop\(s\) k$"):
+            run_experiment(load_experiment_config(path))
+        assert calls == []
+        assert not out.exists()
+
+    def test_a_frozen_loop_needs_no_anchor(self, experiment_dir):
+        budget = {"max_unique": 3}
+        path = self.ijk_external(experiment_dir, False, budget=budget)
+        summary = run_experiment(load_experiment_config(path))
+        assert summary.unique_evaluations == 3 and summary.stop_reason == "unique_budget"
 
     def test_synthetic_runs_are_byte_reproducible(self, experiment_dir):
         texts = []

@@ -14,7 +14,7 @@ from pragmatune.loops import (
     Tile,
     Unroll,
 )
-from pragmatune.rendering import pragma_clause, pragma_lines, render_pragmas
+from pragmatune.rendering import pragma_clause, pragma_lines, render_pragmas, template_anchors
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,6 +122,13 @@ class TestRenderPragmas:
         with pytest.raises(MissingAnchorError):
             render_pragmas(Configuration((Reverse("i"),)), template)
 
+
+    def test_the_first_anchor_of_an_id_wins(self):
+        template = "/*@loop:i*/\nfor (;;) ;\n  /*@loop:i*/\n  for (;;) ;\n"
+        assert template_anchors(template) == {"i": (0, "")}
+        rendered = render_pragmas(Configuration((Reverse("i"),)), template)
+        assert rendered.split("\n")[:2] == ["/*@loop:i*/", "#pragma clang loop reverse"]
+        assert rendered.count("#pragma") == 1
 
 class TestInjectivityScope:
     def test_same_anchor_orderings_render_differently(self):

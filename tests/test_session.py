@@ -1,5 +1,6 @@
 """Session bookkeeping: budget, the run's time, caching, best tracking, records."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from pragmatune.evaluators import (
     Time,
 )
 from pragmatune.loops import Configuration, Reverse, Tile, Unroll
+from pragmatune.reports import read_log, write_log
 from pragmatune.reward import RewardParams, TargetState, quantile_split
 from pragmatune.session import (
     Budget,
@@ -272,6 +274,16 @@ class TestLogging:
         assert back.config is None and record.config is not None
         assert back == record
         assert "config" not in record.to_dict()
+
+    def test_a_log_line_holds_every_field_but_config_in_field_order(self, tmp_path):
+        session = session_with(halver)
+        session.evaluate_root()
+        record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
+        write_log([record], tmp_path / "log.jsonl")
+        (back,) = read_log(tmp_path / "log.jsonl")
+        names = [f.name for f in dataclasses.fields(EvalRecord) if f.name != "config"]
+        assert list(record.to_dict()) == list(back.to_dict()) == names
+        assert record.to_dict()["outcome"] == {"kind": "time", "seconds": 0.5}
 
     def test_a_history_refuses_a_read_back_record(self):
         session = session_with(halver)
