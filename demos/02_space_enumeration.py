@@ -3,7 +3,8 @@ Enumerating the configuration space without materializing it
 ============================================================
 
 Every node of the space is a configuration; its children append one
-legal transformation in a fixed deterministic order. Child counts and
+legal transformation in a fixed deterministic order. The space is bound
+to its SpaceParams once, at the root, and every node below carries them. Child counts and
 child-at-index come from closed-form census arithmetic, so the search
 can index into trillions of configurations while only ever building the
 nodes it visits.
@@ -27,34 +28,33 @@ from pathlib import Path
 HERE = Path(__file__).parent
 
 nest = load_loop_nest((HERE / "matscale_nest.json").read_text())
-params = SpaceParams()  # ten tile sizes, three unroll factors, d_max=5
-root = root_node(nest)
+root = root_node(nest, SpaceParams())  # ten tile sizes, three unroll factors, d_max=5
 
 # The root's children in enumeration order: tiles first (size-major,
 # peel-minor per head loop), then interchanges, parallelize, unroll,
 # reverse, pack.
-n = child_count(root, params)
+n = child_count(root)
 print(f"root fan-out: {n}")
 for index in (0, 1, n - 2, n - 1):
-    print(f"  child {index:2d}: {child_transformation(root, index, params)}")
+    print(f"  child {index:2d}: {child_transformation(root, index)}")
 
 # child_index inverts child_transformation: it scans the node's
 # children for the first one whose step equals the given step.
-step = child_transformation(root, 21, params)
-assert child_index(root, step, params) == 21
+step = child_transformation(root, 21)
+assert child_index(root, step) == 21
 
 # Applying a tile grows the space: the four fresh loops admit more
 # follow-up transformations than the two originals did.
-tiled = child(root, 0, params)
-print(f"after {tiled.config.key!r}: fan-out {child_count(tiled, params)}")
+tiled = child(root, 0)
+print(f"after {tiled.config.key!r}: fan-out {child_count(tiled)}")
 
 # Per-depth node counts, materializing each level (keep the depth low).
 print("depth\tnodes")
-for depth, count in level_counts(root, params, max_depth=2):
+for depth, count in level_counts(root, max_depth=2):
     print(f"{depth}\t{count}")
 
 # Random walks are how the search probes attainable depths cheaply.
 rng = random.Random(1)
 for _ in range(3):
-    node = random_walk(root, 4, rng, params)
+    node = random_walk(root, 4, rng)
     print(f"walk to depth {node.depth}: {node.config.key}")

@@ -25,6 +25,7 @@ from pragmatune import (
     emit_trajectory,
     load_loop_nest,
     random_search,
+    root_node,
     search,
 )
 from pragmatune.harness import derive_seed
@@ -33,8 +34,9 @@ from pathlib import Path
 HERE = Path(__file__).parent
 MASTER_SEED = 7
 
-nest = load_loop_nest((HERE / "matscale_nest.json").read_text())
-space = SpaceParams()
+# Every searcher takes the space as its root node, which carries the
+# SpaceParams; the searchers only read it, so one root serves every run.
+root = root_node(load_loop_nest((HERE / "matscale_nest.json").read_text()), SpaceParams())
 # On a synthetic run, max_wall_clock_s (unset here) would bound simulated
 # seconds, the summed runtimes of the fresh measurements.
 budget = Budget(max_unique=200, max_iterations=20_000)
@@ -62,8 +64,7 @@ mcts_session = fresh_session("mcts")
 # reward and tree-search knobs.
 search(
     mcts_session,
-    nest,
-    space,
+    root,
     RewardParams(),
     MctsParams(per_run_budget=60),
     random.Random(derive_seed(MASTER_SEED, "walks")),
@@ -72,11 +73,11 @@ search(
 report(mcts_session)
 
 rs_session = fresh_session("rs")
-random_search(rs_session, nest, space, random.Random(derive_seed(MASTER_SEED, "search")))
+random_search(rs_session, root, random.Random(derive_seed(MASTER_SEED, "search")))
 report(rs_session)
 
 bf_session = fresh_session("bf")
-breadth_first(bf_session, nest, space)
+breadth_first(bf_session, root)
 report(bf_session)
 
 # The trajectory table tracks the incumbent as the run unfolds; phase

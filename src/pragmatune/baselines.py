@@ -1,8 +1,9 @@
 """Baseline searchers: random sampling, breadth-first, global greedy.
 
-All three share the session's budget accounting and evaluation cache
-with the tree search, measure the root first, and return nothing: the
-session holds the records, the best one, and the stop reason.
+Each takes the space as its root node. All three share the session's
+budget accounting and evaluation cache with the tree search, measure
+the root first, and return nothing: the session holds the records, the
+best one, and the stop reason.
 """
 
 from __future__ import annotations
@@ -13,17 +14,11 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, Sized
 
-from .loops import LoopNest
 from .session import EvalRecord, SearchSession
-from .space import SpaceNode, SpaceParams, child, child_count, random_walk, root_node
+from .space import SpaceNode, child, child_count, random_walk
 
 
-def random_search(
-    session: SearchSession,
-    nest: LoopNest,
-    params: SpaceParams,
-    rng: random.Random,
-) -> None:
+def random_search(session: SearchSession, root: SpaceNode, rng: random.Random) -> None:
     """Uniform random walks of uniform random depth, deduped by the cache.
 
     A root with no children ends the run as ``space_exhausted``. Any
@@ -31,19 +26,17 @@ def random_search(
     runs on small spaces should bound Budget.max_iterations.
     """
     session.evaluate_root()
-    start = root_node(nest)
-    if child_count(start, params) == 0:
+    if child_count(root) == 0:
         session.stop_reason = "space_exhausted"
         return
     while True:
-        node = random_walk(start, rng.randint(1, params.d_max), rng, params)
+        node = random_walk(root, rng.randint(1, root.params.d_max), rng)
         if session.measure(node.config, phase=0) is None:
             return
 
 
 def _expand_all(
     session: SearchSession,
-    params: SpaceParams,
     frontier: Sized,
     pop: Callable[[], SpaceNode],
     push: Callable[[SpaceNode, EvalRecord], None],
@@ -54,8 +47,8 @@ def _expand_all(
     """
     while frontier and not session.out_of_budget():
         node = pop()
-        for index in range(child_count(node, params)):
-            successor = child(node, index, params)
+        for index in range(child_count(node)):
+            successor = child(node, index)
             measured = session.measure(successor.config, phase=0)
             if measured is None:
                 return
@@ -64,26 +57,18 @@ def _expand_all(
         session.stop_reason = "space_exhausted"
 
 
-def breadth_first(
-    session: SearchSession,
-    nest: LoopNest,
-    params: SpaceParams,
-) -> None:
+def breadth_first(session: SearchSession, root: SpaceNode) -> None:
     """Level-by-level sweep in child-index order.
 
     Children of failed configurations are still visited; the tree offers
     no guarantee that a failing prefix makes every extension fail.
     """
     session.evaluate_root()
-    queue = deque([root_node(nest)])
-    _expand_all(session, params, queue, queue.popleft, lambda node, _: queue.append(node))
+    queue = deque([root])
+    _expand_all(session, queue, queue.popleft, lambda node, _: queue.append(node))
 
 
-def global_greedy(
-    session: SearchSession,
-    nest: LoopNest,
-    params: SpaceParams,
-) -> None:
+def global_greedy(session: SearchSession, root: SpaceNode) -> None:
     """Expand the best measured configuration anywhere in the tree.
 
     Pops the highest-h node (ties to insertion order), measures all its
@@ -92,10 +77,10 @@ def global_greedy(
     """
     root_record = session.evaluate_root()
     order = count()
-    heap: list[tuple[float, int, SpaceNode]] = [(-root_record.h, next(order), root_node(nest))]
+    heap: list[tuple[float, int, SpaceNode]] = [(-root_record.h, next(order), root)]
 
     def push(node: SpaceNode, record: EvalRecord) -> None:
         if record.h is not None:
             heappush(heap, (-record.h, next(order), node))
 
-    _expand_all(session, params, heap, lambda: heappop(heap)[2], push)
+    _expand_all(session, heap, lambda: heappop(heap)[2], push)

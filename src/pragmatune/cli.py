@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             nest = load_loop_nest(Path(args.nest).read_text())
             print("depth\tnodes")
-            for depth, count in level_counts(root_node(nest), SpaceParams(), args.max_depth):
+            for depth, count in level_counts(root_node(nest, SpaceParams()), args.max_depth):
                 print(f"{depth}\t{count}")
     except (PragmatuneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

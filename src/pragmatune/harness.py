@@ -30,13 +30,13 @@ from .evaluators import (
     SyntheticSpec,
     evaluate_external,
 )
-from .loops import LoopNest, load_loop_nest
+from .loops import load_loop_nest
 from .mcts import MctsParams
 from .rendering import template_anchors
 from .reports import write_log
 from .reward import RewardParams
 from .session import Budget, EvalRecord, SearchSession
-from .space import SpaceParams
+from .space import SpaceNode, SpaceParams, root_node
 
 logger = logging.getLogger("pragmatune")
 
@@ -78,17 +78,17 @@ def _seeded(config: ExperimentConfig, label: str) -> random.Random:
     return random.Random(derive_seed(config.seed, label))
 
 
-# Method name -> searcher; each fills the session and returns nothing.
-METHODS: dict[str, Callable[[SearchSession, LoopNest, ExperimentConfig], None]] = {
-    "mcts": lambda session, nest, config: mcts.search(
-        session, nest, config.space, config.reward, config.search,
+# Method name -> searcher of a space's root; each fills the session and returns nothing.
+METHODS: dict[str, Callable[[SearchSession, SpaceNode, ExperimentConfig], None]] = {
+    "mcts": lambda session, root, config: mcts.search(
+        session, root, config.reward, config.search,
         _seeded(config, "walks"), _seeded(config, "expand"),
     ),
-    "rs": lambda session, nest, config: baselines.random_search(
-        session, nest, config.space, _seeded(config, "search")
+    "rs": lambda session, root, config: baselines.random_search(
+        session, root, _seeded(config, "search")
     ),
-    "bf": lambda session, nest, config: baselines.breadth_first(session, nest, config.space),
-    "gg": lambda session, nest, config: baselines.global_greedy(session, nest, config.space),
+    "bf": lambda session, root, config: baselines.breadth_first(session, root),
+    "gg": lambda session, root, config: baselines.global_greedy(session, root),
 }
 
 
@@ -119,8 +119,8 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     unknown = sorted(doc.keys() - _KEYS)
     if unknown:
         raise ExperimentConfigError(f"unknown keys: {', '.join(unknown)}")
-    if doc.get("version", 1) != 1:
-        raise ExperimentConfigError(f"unsupported version {doc.get('version')!r}")
+    if (version := doc.get("version", 1)) != 1 or type(version) is not int:
+        raise ExperimentConfigError(f"'version' must be the integer 1, got {version!r}")
     if not isinstance(doc.get("nest"), str) or not isinstance(doc.get("out"), (str, type(None))):
         raise ExperimentConfigError("'nest' and 'out' must be path strings")
     base_dir = path.parent
@@ -218,7 +218,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        METHODS[config.method](session, nest, config)
+        METHODS[config.method](session, root_node(nest, config.space), config)
     except BaseException as exc:
         session.stop_reason = "interrupted" if isinstance(exc, KeyboardInterrupt) else "error"
         raise

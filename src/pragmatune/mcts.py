@@ -19,7 +19,8 @@ level when its children are first read. Within a phase, ``select``
 scores children inline and ``expand`` counts to its draw without
 building a list. Each phase sends one debug record to the
 ``pragmatune`` logger. Each knob has one home: ``search`` takes the
-run's ``SpaceParams`` and ``RewardParams`` beside its own ``MctsParams``.
+run's space (its root node, which carries the ``SpaceParams``) and
+``RewardParams`` beside its own ``MctsParams``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from itertools import islice
 
 from . import space
 from .errors import check_fields
-from .loops import LoopNest
 from .reward import (
     RankedHistory,
     RewardParams,
@@ -43,7 +43,6 @@ from .reward import (
     reward,
 )
 from .session import EvalRecord, SearchSession
-from .space import SpaceParams
 
 logger = logging.getLogger("pragmatune")
 
@@ -67,9 +66,9 @@ class MctsParams:
         check_fields(self)
         if not self.c >= 0:
             raise ValueError("c must be >= 0")
-        counts = (self.per_run_budget, self.n_walks, self.no_improve_limit, self.same_config_limit)
-        if min(counts) < 1:
-            raise ValueError("per_run_budget, n_walks and the convergence limits must be >= 1")
+        for name in ("per_run_budget", "n_walks", "no_improve_limit", "same_config_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class _SpaceNodes:
@@ -81,18 +80,17 @@ class _SpaceNodes:
     playout measured fresh, each with the child-index path it walked.
     """
 
-    __slots__ = ("params", "root", "current", "previous", "history")
+    __slots__ = ("root", "current", "previous", "history")
 
-    def __init__(self, nest: LoopNest, params: SpaceParams):
-        self.params = params
-        self.root = space.root_node(nest)
+    def __init__(self, root: space.SpaceNode):
+        self.root = root
         self.current: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
         self.previous: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
         self.history = RankedHistory()
 
     def child(self, parent: space.SpaceNode, index: int) -> space.SpaceNode:
         key = (parent, index)
-        node = self.previous.get(key) or space.child(parent, index, self.params)
+        node = self.previous.get(key) or space.child(parent, index)
         self.current[key] = node
         return node
 
@@ -179,7 +177,7 @@ class SearchNode:
     @property
     def n_children(self) -> int:
         if self._n_children is None:
-            self._n_children = space.child_count(self.space, self._nodes.params)
+            self._n_children = space.child_count(self.space)
         return self._n_children
 
 
@@ -291,7 +289,7 @@ def learn_depth(
     d_star = 1
     for _ in range(params.n_walks):
         path = [tree]
-        _descend(path, rng.randint(1, tree._nodes.params.d_max), rng)
+        _descend(path, rng.randint(1, tree.space.params.d_max), rng)
         measured = _playout(path, session, reward_params, target, phase)
         if measured is None:
             break
@@ -326,14 +324,13 @@ def apply_transfer(
 
 def search(
     session: SearchSession,
-    nest: LoopNest,
-    space_params: SpaceParams,
+    root: space.SpaceNode,
     reward_params: RewardParams,
     params: MctsParams,
     rng_walks: random.Random,
     rng_expand: random.Random,
 ) -> None:
-    """Run the full phased search over ``nest`` until the global budget is spent.
+    """Run the full phased search of the space under ``root`` until the global budget is spent.
 
     The root is measured first and enters the history with the empty
     path; its failure is fatal. A root with no children ends the run as
@@ -343,7 +340,7 @@ def search(
     hits included, that measured one key.
     """
     target = TargetState(reward_params)
-    nodes = _SpaceNodes(nest, space_params)
+    nodes = _SpaceNodes(root)
     nodes.history.add(session.evaluate_root(target), ())
     phase = 0
     while not session.out_of_budget():

@@ -7,7 +7,9 @@ unroll < reverse < pack, and within a kind children follow loop-id
 order, then parameter-list order (tile sizes outer, peel variants
 inner; full unrolling before the partial factors). That order is
 written once, in ``child_transformation``; ``child_index`` inverts it
-by scanning a node's children for the step.
+by scanning a node's children for the step. A space is bound to its
+``SpaceParams`` once, at ``root_node``; every node below carries them,
+so no query takes them again.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class SpaceParams:
 
 
 class SpaceNode:
-    """A configuration and the nest it yields when applied to the root nest.
+    """A configuration, the nest it yields from the root nest, and the space's params.
 
     A child holds its parent's nest until ``nest`` is first read, which
     applies its last step, so a node whose children are never counted
@@ -75,10 +77,13 @@ class SpaceNode:
     ``child_index``.
     """
 
-    __slots__ = ("config", "_nest", "_pending", "census", "__weakref__")
+    __slots__ = ("config", "params", "_nest", "_pending", "census", "__weakref__")
 
-    def __init__(self, config: Configuration, nest: LoopNest, pending: bool = False):
+    def __init__(
+        self, config: Configuration, params: SpaceParams, nest: LoopNest, pending: bool = False
+    ):
         self.config = config
+        self.params = params
         self._nest = nest  # the parent's nest while ``pending``
         self._pending = pending
         self.census: _Census | None = None
@@ -99,16 +104,17 @@ class SpaceNode:
         return self.config.key
 
 
-def root_node(nest: LoopNest) -> SpaceNode:
-    return SpaceNode(Configuration(), nest)
+def root_node(nest: LoopNest, params: SpaceParams) -> SpaceNode:
+    """The space of ``nest`` bounded by ``params``; every node below shares them."""
+    return SpaceNode(Configuration(), params, nest)
 
 
 @cache
-def _chain_permutations(k: int, params: SpaceParams) -> tuple[tuple[int, ...], ...]:
-    """Non-identity orders of a k-deep chain; one shared tuple per (k, params)."""
+def _chain_permutations(k: int, max_permutation_depth: int) -> tuple[tuple[int, ...], ...]:
+    """Non-identity orders of a k-deep chain; one shared tuple per argument pair."""
     if k < 2:
         return ()
-    if k <= params.max_permutation_depth:
+    if k <= max_permutation_depth:
         # permutations() is lexicographic and the identity comes first
         return tuple(permutations(range(k)))[1:]
     swaps = []
@@ -128,10 +134,9 @@ class _Census:
     counted; ``child_transformation`` finds its target among ``loops``.
     """
 
-    __slots__ = ("params", "heads", "perms", "loops", "section_sizes", "total")
+    __slots__ = ("heads", "perms", "loops", "section_sizes", "total")
 
     def __init__(self, nest: LoopNest, params: SpaceParams):
-        self.params = params
         self.loops = loops = []
         heads = []
         for root in nest.roots:
@@ -140,7 +145,8 @@ class _Census:
         loops.sort()
         heads.sort()
         self.heads = [head.id for head in heads]
-        self.perms = [_chain_permutations(len(_chain_from(head)), params) for head in heads]
+        depth = params.max_permutation_depth
+        self.perms = [_chain_permutations(len(_chain_from(head)), depth) for head in heads]
         arrays = nest.arrays
         unrollable = reversible = 0
         packs = len(arrays) * len(loops)
@@ -160,26 +166,27 @@ class _Census:
         self.total = sum(self.section_sizes)
 
 
-def _census(node: SpaceNode, params: SpaceParams) -> _Census:
-    """The node's census for ``params``, built once and kept on the node."""
+def _census(node: SpaceNode) -> _Census:
+    """The node's census, built once and kept on the node."""
     census = node.census
-    if census is None or census.params is not params:
-        census = node.census = _Census(node.nest, params)
+    if census is None:
+        census = node.census = _Census(node.nest, node.params)
     return census
 
 
-def child_count(node: SpaceNode, params: SpaceParams) -> int:
+def child_count(node: SpaceNode) -> int:
     """Number of children, computed arithmetically from the nest."""
-    return _census(node, params).total
+    return _census(node).total
 
 
-def child_transformation(node: SpaceNode, index: int, params: SpaceParams) -> Transformation:
+def child_transformation(node: SpaceNode, index: int) -> Transformation:
     """The transformation behind child ``index`` without applying it."""
-    census = _census(node, params)
+    census = _census(node)
     if not 0 <= index < census.total:
         raise IndexError(f"child index {index} out of range 0..{census.total - 1}")
     offset = index
     sizes = census.section_sizes
+    params = node.params
 
     if offset < sizes[0]:
         peels = len(params.peel_variants)
@@ -219,35 +226,31 @@ def child_transformation(node: SpaceNode, index: int, params: SpaceParams) -> Tr
     raise AssertionError("unreachable: index inside total but not in any section")
 
 
-def child(node: SpaceNode, index: int, params: SpaceParams) -> SpaceNode:
+def child(node: SpaceNode, index: int) -> SpaceNode:
     """Child ``index``: the extended configuration, its step applied on first read of ``nest``."""
-    step = child_transformation(node, index, params)
-    return SpaceNode(node.config.extended(step), node.nest, pending=True)
+    step = child_transformation(node, index)
+    return SpaceNode(node.config.extended(step), node.params, node.nest, pending=True)
 
 
-def child_index(node: SpaceNode, step: Transformation, params: SpaceParams) -> int:
+def child_index(node: SpaceNode, step: Transformation) -> int:
     """Inverse of child_transformation: the first child index whose step equals ``step``."""
-    for index in range(child_count(node, params)):
-        if child_transformation(node, index, params) == step:
+    for index in range(child_count(node)):
+        if child_transformation(node, index) == step:
             return index
     raise ValueError(f"{step_key(step)} is not a child of configuration {node.key!r}")
 
 
-def random_walk(
-    node: SpaceNode, depth: int, rng: random.Random, params: SpaceParams
-) -> SpaceNode:
+def random_walk(node: SpaceNode, depth: int, rng: random.Random) -> SpaceNode:
     """Descend ``depth`` uniform-random children, stopping early at dead ends."""
     for _ in range(depth):
-        n = child_count(node, params)
+        n = child_count(node)
         if n == 0:
             break
-        node = child(node, rng.randrange(n), params)
+        node = child(node, rng.randrange(n))
     return node
 
 
-def level_counts(
-    node: SpaceNode, params: SpaceParams, max_depth: int
-) -> list[tuple[int, int]]:
+def level_counts(node: SpaceNode, max_depth: int) -> list[tuple[int, int]]:
     """(depth, node count) pairs from ``node`` down, materializing each level.
 
     Level sizes grow fast; keep ``max_depth`` small.
@@ -255,11 +258,7 @@ def level_counts(
     out = [(0, 1)]
     level = [node]
     for depth in range(1, max_depth + 1):
-        level = [
-            child(parent, i, params)
-            for parent in level
-            for i in range(child_count(parent, params))
-        ]
+        level = [child(parent, i) for parent in level for i in range(child_count(parent))]
         out.append((depth, len(level)))
         if not level:
             break

@@ -8,8 +8,9 @@ bugs. ``uct_score`` is the reference definition of the score
 ``mcts.select`` computes inline, ``index_path`` the reference for the
 path a playout records, ``eager_transfer`` the reference for the tree
 ``mcts.apply_transfer`` hands down lazily, ``consistent_playouts``
-checks the tree's visit identity after every playout of a search, and
-``scripted_phase_end`` runs a phase on playouts a test writes.
+checks the tree's visit identity after every playout of a search,
+``scripted_phase_end`` runs a phase on playouts a test writes, and
+``first_divergence`` names the first record where two logs part.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from itertools import permutations
+from itertools import permutations, zip_longest
 from types import SimpleNamespace
 from unittest import mock
 
@@ -180,37 +181,46 @@ def eval_record(config: Configuration, outcome, h, iteration: int, phase: int) -
     )
 
 
+def first_divergence(log_a, log_b):
+    """Where two logs of ``EvalRecord``s first differ: ``(iteration, phase, key)`` from each.
+
+    None when the logs are equal. A log that ends first gives None on its side.
+    """
+    for a, b in zip_longest(log_a, log_b):
+        if a is None or b is None or a.to_dict() != b.to_dict():
+            return tuple(None if r is None else (r.iteration, r.phase, r.key) for r in (a, b))
+    return None
+
+
 def entry_records(entries) -> list[EvalRecord]:
     """The records of ``RankedHistory`` entries, in their order."""
     return [entry[2] for entry in entries]
 
 
-def index_path(nest: LoopNest, config: Configuration, params: SpaceParams) -> tuple[int, ...]:
-    """Child indices leading from ``nest``'s root to ``config``, by ``child_index``."""
-    node, indices = space.root_node(nest), []
+def index_path(root: space.SpaceNode, config: Configuration) -> tuple[int, ...]:
+    """Child indices leading from the space's ``root`` to ``config``, by ``child_index``."""
+    node, indices = root, []
     for step in config.steps:
-        indices.append(space.child_index(node, step, params))
-        node = space.child(node, indices[-1], params)
+        indices.append(space.child_index(node, step))
+        node = space.child(node, indices[-1])
     return tuple(indices)
 
 
-def ranked_history(
-    records, nest: LoopNest | None = None, params: SpaceParams | None = None
-) -> RankedHistory:
+def ranked_history(records, root: space.SpaceNode | None = None) -> RankedHistory:
     """``records`` added in order to a ``RankedHistory``, as ``mcts.search`` adds them.
 
-    Given a nest, each record's path is its ``index_path``; without one
-    every path is ``()``, for splits and filters, which never read paths.
+    Given a space's root, each record's path is its ``index_path``; without
+    one every path is ``()``, for splits and filters, which never read paths.
     """
     history = RankedHistory()
     for record in records:
-        history.add(record, () if nest is None else index_path(nest, record.config, params))
+        history.add(record, () if root is None else index_path(root, record.config))
     return history
 
 
-def make_root(nest: LoopNest, params: SpaceParams) -> SearchNode:
-    """A fresh search tree over ``nest``, as a phase of ``mcts.search`` builds one."""
-    nodes = _SpaceNodes(nest, params)
+def make_root(root: space.SpaceNode) -> SearchNode:
+    """A fresh search tree over the space under ``root``, as ``mcts.search`` builds one."""
+    nodes = _SpaceNodes(root)
     return SearchNode(nodes.root, None, nodes)
 
 
@@ -313,6 +323,7 @@ def scripted_phase_end(script, **knobs) -> tuple[str, int]:
     with mock.patch.object(mcts, "learn_depth", lambda *args: 1), mock.patch.object(
         mcts, "_playout", playout
     ), mock.patch.object(mcts, "logger") as logger:
-        mcts.search(session, chain_nest(2), SpaceParams(), RewardParams(), params, *rngs)
+        root = space.root_node(chain_nest(2), SpaceParams())
+        mcts.search(session, root, RewardParams(), params, *rngs)
     first = logger.debug.call_args_list[0].args[1]
     return first["ended"], first["iterations"]

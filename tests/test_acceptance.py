@@ -92,17 +92,13 @@ def stub_node(visits, total_reward):
     return node
 
 
-def exhaustive_best_h(nest, space, landscape, depth):
-    """Best successful speedup over every configuration to ``depth``."""
+def exhaustive_best_h(root, landscape, depth):
+    """Best successful speedup over every configuration to ``depth`` below ``root``."""
     root_seconds = landscape.evaluate(Configuration()).seconds
     best = 0.0
-    level = [root_node(nest)]
+    level = [root]
     for _ in range(depth):
-        level = [
-            child(node, i, space)
-            for node in level
-            for i in range(child_count(node, space))
-        ]
+        level = [child(node, i) for node in level for i in range(child_count(node))]
         for node in level:
             outcome = landscape.evaluate(node.config)
             if outcome.ok:
@@ -163,20 +159,21 @@ def test_criterion_03_enumeration_matches_exhaustive_oracle():
         rng = random.Random(990814)
         nodes_checked = 0
 
-        def check(node, params, depth_left):
+        def check(node, depth_left):
             nonlocal nodes_checked
             nodes_checked += 1
-            expected = oracle_children(node.nest, params)
-            assert child_count(node, params) == len(expected) <= 200
+            expected = oracle_children(node.nest, node.params)
+            assert child_count(node) == len(expected) <= 200
             for i, step in enumerate(expected):
-                assert child_transformation(node, i, params) == step
-                assert child_index(node, step, params) == i
+                assert child_transformation(node, i) == step
+                assert child_index(node, step) == i
             if depth_left:
                 for i in range(len(expected)):
-                    check(child(node, i, params), params, depth_left - 1)
+                    check(child(node, i), depth_left - 1)
 
         for _ in range(10):
-            check(root_node(random_nest(rng)), random_params(rng), depth_left=2)
+            nest = random_nest(rng)
+            check(root_node(nest, random_params(rng)), depth_left=2)
         assert time.perf_counter() - start < 30.0
         info["detail"] = f": 10 nests, {nodes_checked} nodes to depth 2"
 
@@ -184,15 +181,15 @@ def test_criterion_03_enumeration_matches_exhaustive_oracle():
 def test_criterion_04_finds_the_known_global_optimum():
     with verdict(4, "tree search finds the exhaustive optimum on >=18/20 seeds") as info:
         start = time.perf_counter()
-        nest = LoopNest((Loop("i"),))
         space = SpaceParams(
             tile_sizes=(2, 4), unroll_factors=(2,), peel_variants=(False,), d_max=3
         )
+        root = root_node(LoopNest((Loop("i"),)), space)
         # The whole space to depth 3 holds 386 configurations.
         wins = 0
         for master in range(20):
             landscape = SyntheticLandscape(seed=derive_seed(master, "landscape"))
-            optimum = exhaustive_best_h(nest, space, landscape, depth=3)
+            optimum = exhaustive_best_h(root, landscape, depth=3)
             session = SearchSession(
                 CachedEvaluator(landscape),
                 Budget(max_unique=500, max_iterations=30_000),
@@ -202,8 +199,7 @@ def test_criterion_04_finds_the_known_global_optimum():
             params = MctsParams(per_run_budget=40, n_walks=30)
             search(
                 session,
-                nest,
-                space,
+                root,
                 RewardParams(),
                 params,
                 random.Random(derive_seed(master, "walks")),
@@ -219,7 +215,7 @@ def test_criterion_05_beats_random_and_breadth_first():
     with verdict(5, "median best-h: tree search >= random and breadth-first") as info:
         start = time.perf_counter()
         nest = LoopNest((Loop("i", children=(Loop("j"),)),), arrays=("A",))
-        space = SpaceParams()
+        root = root_node(nest, SpaceParams())
         bests = {"mcts": [], "rs": [], "bf": [], "gg": []}
         for master in range(20):
             landscape_seed = derive_seed(master, "landscape")
@@ -235,8 +231,7 @@ def test_criterion_05_beats_random_and_breadth_first():
             session = fresh_session()
             search(
                 session,
-                nest,
-                space,
+                root,
                 RewardParams(),
                 MctsParams(),
                 random.Random(derive_seed(master, "walks")),
@@ -244,13 +239,13 @@ def test_criterion_05_beats_random_and_breadth_first():
             )
             bests["mcts"].append(session.best.h)
             session = fresh_session()
-            random_search(session, nest, space, random.Random(derive_seed(master, "search")))
+            random_search(session, root, random.Random(derive_seed(master, "search")))
             bests["rs"].append(session.best.h)
             session = fresh_session()
-            breadth_first(session, nest, space)
+            breadth_first(session, root)
             bests["bf"].append(session.best.h)
             session = fresh_session()
-            global_greedy(session, nest, space)
+            global_greedy(session, root)
             bests["gg"].append(session.best.h)
         medians = {m: statistics.median(v) for m, v in bests.items()}
         assert medians["mcts"] >= medians["rs"]
@@ -298,8 +293,7 @@ def test_criterion_06_restart_escapes_a_shallow_optimum():
         master = 4  # chosen so phase 0 converges onto the shallow trap
         search(
             session,
-            nest,
-            space,
+            root_node(nest, space),
             RewardParams(),
             MctsParams(per_run_budget=25, n_walks=8),
             random.Random(derive_seed(master, "walks")),
@@ -418,8 +412,9 @@ def test_criterion_09_history_transfer_without_evaluation():
 
         calls = []
         cache = CachedEvaluator(counting(lambda config: Time(1.0), calls))
-        tree = make_root(nest, space_params)
-        apply_transfer(tree, ranked_history(history, nest, space_params), reward_params)
+        root = root_node(nest, space_params)
+        tree = make_root(root)
+        apply_transfer(tree, ranked_history(history, root), reward_params)
         assert calls == []  # the cache's inner evaluator never ran
 
         by_key = {c.space.key: c for c in tree.children.values()}
@@ -475,8 +470,10 @@ def test_criterion_10_randomized_invariants():
             with consistent_playouts() as playouts:
                 search(
                     session,
-                    chain_nest(2),
-                    SpaceParams(tile_sizes=(2, 8), unroll_factors=(2, 4), d_max=4),
+                    root_node(
+                        chain_nest(2),
+                        SpaceParams(tile_sizes=(2, 8), unroll_factors=(2, 4), d_max=4),
+                    ),
                     RewardParams(),
                     MctsParams(per_run_budget=30),
                     random.Random(derive_seed(seed, "walks")),

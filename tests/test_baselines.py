@@ -44,7 +44,8 @@ def make_session(evaluator, **budget):
 class TestRandomSearch:
     def test_respects_the_unique_budget(self):
         session = make_session(SyntheticLandscape(seed=1), max_unique=12)
-        random_search(session, chain_nest(2), SpaceParams(d_max=4), random.Random(0))
+        root = root_node(chain_nest(2), SpaceParams(d_max=4))
+        random_search(session, root, random.Random(0))
         assert session.unique_evaluations == 12
         assert len(session.records) == 13
         assert session.best.h == max(r.h for r in session.records if r.h is not None)
@@ -62,25 +63,24 @@ class TestRandomSearch:
             max_unique=100,
             max_iterations=40,
         )
-        random_search(session, chain_nest(1), params, random.Random(1))
+        random_search(session, root_node(chain_nest(1), params), random.Random(1))
         assert session.iterations == 40
         assert session.unique_evaluations < 40
         assert session.stop_reason == "iterations"
 
     def test_depths_span_one_to_d_max(self):
         session = make_session(SyntheticLandscape(seed=3, failure_rate=0.0), max_unique=60)
-        random_search(
-            session, chain_nest(2, arrays=("A",)), SpaceParams(d_max=3), random.Random(2)
-        )
+        root = root_node(chain_nest(2, arrays=("A",)), SpaceParams(d_max=3))
+        random_search(session, root, random.Random(2))
         depths = {r.config.depth for r in session.records}
         assert depths == {0, 1, 2, 3}
 
 
 class TestBreadthFirst:
     def test_visits_level_one_in_child_index_order(self):
-        level_one = child_count(root_node(chain_nest(1)), TINY_SPACE)
+        level_one = child_count(root_node(chain_nest(1), TINY_SPACE))
         session = make_session(SyntheticLandscape(seed=4), max_unique=level_one)
-        breadth_first(session, chain_nest(1), TINY_SPACE)
+        breadth_first(session, root_node(chain_nest(1), TINY_SPACE))
         history = session.records
         keys = [r.key for r in history[1:]]
         assert keys == [
@@ -102,7 +102,7 @@ class TestBreadthFirst:
             return Time(1.0)
 
         session = make_session(fail_reverse, max_unique=40)
-        breadth_first(session, chain_nest(1), TINY_SPACE)
+        breadth_first(session, root_node(chain_nest(1), TINY_SPACE))
         # Children of the failing reverse(i0) node were still measured.
         assert any(
             r.key.startswith("reverse(i0)|") for r in session.records
@@ -112,7 +112,7 @@ class TestBreadthFirst:
         session = make_session(
             SyntheticLandscape(seed=6, failure_rate=0.0), max_unique=10_000
         )
-        breadth_first(session, chain_nest(1), FINITE_SPACE)
+        breadth_first(session, root_node(chain_nest(1), FINITE_SPACE))
         history = session.records
         assert session.unique_evaluations < 20
         assert len({r.key for r in history}) == len(history)
@@ -130,7 +130,7 @@ class TestGlobalGreedy:
             interaction_range=(1.0, 1.0),
         )
         session = make_session(landscape, max_unique=10)
-        global_greedy(session, chain_nest(1), TINY_SPACE)
+        global_greedy(session, root_node(chain_nest(1), TINY_SPACE))
         history = session.records
         level_one = [r for r in history if r.config.depth == 1]
         first_deep = next(r for r in history if r.config.depth == 2)
@@ -144,7 +144,7 @@ class TestGlobalGreedy:
             return Time(1.0 / (1.0 + config.depth))
 
         session = make_session(fail_deep_unrolls, max_unique=200)
-        global_greedy(session, chain_nest(1), TINY_SPACE)
+        global_greedy(session, root_node(chain_nest(1), TINY_SPACE))
         unroll_keys = [r.key for r in session.records if "unroll" in r.key]
         # Unroll nodes are measured once as children but never expanded.
         assert unroll_keys
@@ -152,7 +152,7 @@ class TestGlobalGreedy:
 
     def test_budget_is_respected(self):
         session = make_session(SyntheticLandscape(seed=8), max_unique=17)
-        global_greedy(session, chain_nest(2), SpaceParams())
+        global_greedy(session, root_node(chain_nest(2), SpaceParams()))
         assert session.unique_evaluations == 17
         assert len(session.records) == 18
         assert session.stop_reason == "unique_budget"
@@ -161,7 +161,7 @@ class TestGlobalGreedy:
         session = make_session(
             SyntheticLandscape(seed=6, failure_rate=0.0), max_unique=10_000
         )
-        global_greedy(session, chain_nest(1), FINITE_SPACE)
+        global_greedy(session, root_node(chain_nest(1), FINITE_SPACE))
         assert session.unique_evaluations < 20
         assert session.stop_reason == "space_exhausted"
 
@@ -169,9 +169,9 @@ class TestGlobalGreedy:
 class TestSharedBehavior:
     def test_all_methods_count_the_root_once(self):
         for runner in (
-            lambda s: random_search(s, chain_nest(1), TINY_SPACE, random.Random(0)),
-            lambda s: breadth_first(s, chain_nest(1), TINY_SPACE),
-            lambda s: global_greedy(s, chain_nest(1), TINY_SPACE),
+            lambda s: random_search(s, root_node(chain_nest(1), TINY_SPACE), random.Random(0)),
+            lambda s: breadth_first(s, root_node(chain_nest(1), TINY_SPACE)),
+            lambda s: global_greedy(s, root_node(chain_nest(1), TINY_SPACE)),
         ):
             session = make_session(
                 SyntheticLandscape(seed=9), max_unique=6, max_iterations=50
@@ -185,14 +185,14 @@ class TestSharedBehavior:
 
     @pytest.mark.parametrize(
         "search",
-        [lambda s, n, p: random_search(s, n, p, random.Random(0)), breadth_first, global_greedy],
+        [lambda s, root: random_search(s, root, random.Random(0)), breadth_first, global_greedy],
         ids=["rs", "bf", "gg"],
     )
     def test_a_root_without_children_exhausts_the_space(self, search):
         nest = load_loop_nest('{"loops": [{"id": "i", "transformable": false}]}')
         # The iteration cap only keeps a regression from hanging the suite.
         session = make_session(SyntheticLandscape(seed=1), max_iterations=50)
-        search(session, nest, SpaceParams())
+        search(session, root_node(nest, SpaceParams()))
         assert session.unique_evaluations == 0
         assert session.stop_reason == "space_exhausted"
 
@@ -202,6 +202,6 @@ class TestIterationBudget:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_n_iterations_measure_n_fresh_configurations(self, search, n):
         session = make_session(SyntheticLandscape(seed=1), max_unique=100, max_iterations=n)
-        search(session, load_loop_nest(DEMO_NEST_TEXT), SpaceParams())
+        search(session, root_node(load_loop_nest(DEMO_NEST_TEXT), SpaceParams()))
         assert session.unique_evaluations == session.iterations == n
         assert session.stop_reason == "iterations"

@@ -266,6 +266,23 @@ class TestEvaluateExternal:
         )
         assert evaluate_external(Configuration(), job) == Time(0.25)
 
+    def test_a_compile_or_a_run_past_the_timeout_is_a_failure(self):
+        def job(compile_cmd, run_cmd):
+            return ExternalJobSpec(
+                source_template=TEMPLATE,
+                compile_cmd=compile_cmd,
+                run_cmd=run_cmd,
+                repetitions=3,
+                timeout_s=0.2,
+            )
+
+        start = time.monotonic()
+        hung_compile, hung_run = job("sleep 5", "python3 -c print(0.5)"), job("sleep 0", "sleep 5")
+        assert evaluate_external(Configuration(), hung_compile) == CompileFailure("compile timeout")
+        assert evaluate_external(Configuration(), hung_run) == RunFailure("run timeout")
+        # One timeout each: the hung run is not repeated.
+        assert time.monotonic() - start < 1.5
+
     def test_rendered_pragmas_reach_the_compiler(self, tmp_path):
         checker = write_stub(
             tmp_path / "cc.py",

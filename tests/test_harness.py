@@ -137,6 +137,9 @@ def wrong_type_cases():
         if key != "nest_text":
             for value in WRONG_VALUES[f.type]:
                 yield pytest.param({key: value}, key, id=f"{key}={value!r}")
+    # ``version`` is no config field, but a count all the same: 1, not true or 1.0.
+    for value in (True, 1.0):
+        yield pytest.param({"version": value}, "version", id=f"version={value!r}")
 
 
 class TestDeriveSeed:
@@ -173,9 +176,9 @@ class TestLoadExperimentConfig:
         assert config.search.per_run_budget == 20
         seen = []
 
-        def spy(session, nest, space, reward, params, *rngs, search=mcts.search):
-            seen.append((space, reward, params))
-            search(session, nest, space, reward, params, *rngs)
+        def spy(session, root, reward, params, *rngs, search=mcts.search):
+            seen.append((root.params, reward, params))
+            search(session, root, reward, params, *rngs)
 
         monkeypatch.setattr(mcts, "search", spy)
         run_experiment(config)
@@ -810,6 +813,14 @@ class TestCli:
         assert main(["tune", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad '{section}' section: '{key}' must be ") and "int" in err
+
+    @pytest.mark.parametrize(
+        "key", ["per_run_budget", "n_walks", "no_improve_limit", "same_config_limit"]
+    )
+    def test_a_zero_search_count_exits_with_two(self, experiment_dir, capsys, key):
+        path = write_experiment(experiment_dir, search={key: 0})
+        assert main(["tune", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad 'search' section: {key} must be >= 1\n"
 
     @pytest.mark.parametrize(
         "key, value",

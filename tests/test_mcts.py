@@ -53,7 +53,7 @@ from pragmatune.reward import (
     quantile_split,
 )
 from pragmatune.session import Budget, SearchSession
-from pragmatune.space import SpaceParams
+from pragmatune.space import SpaceParams, root_node
 
 from helpers import (
     assert_consistent,
@@ -62,6 +62,7 @@ from helpers import (
     counting,
     eager_transfer,
     eval_record,
+    first_divergence,
     make_root,
     random_nest,
     random_params,
@@ -116,6 +117,17 @@ def depth_rewarding_evaluator(config):
     return Time(1.0 / (1.0 + config.depth / 10.0))
 
 
+MCTS_COUNTS = ("per_run_budget", "n_walks", "no_improve_limit", "same_config_limit")
+
+
+class TestMctsParams:
+    @pytest.mark.parametrize("field", MCTS_COUNTS)
+    def test_a_count_below_one_is_rejected_by_name(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1$"):
+            MctsParams(**{field: 0})
+        assert getattr(MctsParams(**{field: 1}), field) == 1
+
+
 class TestUctScore:
     def test_frozen_hand_value(self):
         # mean 0.5, parent visits 8, child visits 2, c = 0.1:
@@ -149,7 +161,7 @@ class TestUctScore:
 
 
 def fully_expanded_root():
-    tree = make_root(chain_nest(1), SMALL_SPACE)
+    tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
     rng = random.Random(0)
     for _ in range(tree.n_children):
         expand(tree, rng)
@@ -158,7 +170,7 @@ def fully_expanded_root():
 
 class TestSelect:
     def test_stops_immediately_when_children_unexpanded(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         assert select(tree, 3, 0.1) == [tree]
 
     def test_ties_break_to_the_lowest_index(self):
@@ -199,7 +211,7 @@ class TestSelect:
 
 class TestExpand:
     def test_materializes_every_child_exactly_once(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         rng = random.Random(1)
         seen = {expand(tree, rng).space.key for _ in range(tree.n_children)}
         assert len(seen) == tree.n_children
@@ -207,7 +219,7 @@ class TestExpand:
             expand(tree, rng)
 
     def test_child_stats_start_at_zero(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         child = expand(tree, random.Random(2))
         assert (child.visits, child.total_reward, child.terminal_count) == (0, 0.0, 0)
 
@@ -233,7 +245,7 @@ class TestReferenceEquality:
     @settings(max_examples=100)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_expand_draws_what_the_list_based_rule_draws(self, data, seed):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         n = tree.n_children
         expanded = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
         for index in expanded:
@@ -256,14 +268,14 @@ class TestBackpropagate:
 
 class TestAssertConsistent:
     def test_accepts_a_consistent_tree(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         child = expand(tree, random.Random(0))
         backpropagate([tree, child], 1.0)
         child.terminal_count += 1
         assert_consistent(tree)
 
     def test_rejects_an_unbalanced_tree(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         expand(tree, random.Random(0))
         tree.visits = 5
         with pytest.raises(AssertionError, match="visits"):
@@ -323,7 +335,7 @@ class TestLearnDepth:
         params = MctsParams()
         session = make_session(flat_landscape())
         session.evaluate_root()
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         target = TargetState(DEFAULT_REWARD)
         d_star = learn_depth(
             tree, session, params, DEFAULT_REWARD, target, random.Random(5), phase=0
@@ -339,7 +351,7 @@ class TestLearnDepth:
         params = MctsParams()
         session = make_session(depth_rewarding_evaluator)
         session.evaluate_root()
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         target = TargetState(DEFAULT_REWARD)
         d_star = learn_depth(
             tree, session, params, DEFAULT_REWARD, target, random.Random(7), phase=0
@@ -356,7 +368,7 @@ class TestLearnDepth:
         params = MctsParams()
         session = make_session(all_fail)
         session.evaluate_root()
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         target = TargetState(DEFAULT_REWARD)
         d_star = learn_depth(
             tree, session, params, DEFAULT_REWARD, target, random.Random(3), phase=0
@@ -369,7 +381,7 @@ class TestLearnDepth:
         params = MctsParams()
         session = make_session(flat_landscape(), max_unique=3)
         session.evaluate_root()
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         target = TargetState(DEFAULT_REWARD)
         learn_depth(
             tree, session, params, DEFAULT_REWARD, target, random.Random(1), phase=0
@@ -390,14 +402,14 @@ def history_from(entries):
 class TestApplyTransfer:
     def test_upper_tail_reinforced_lower_tail_penalized(self):
         reward_params = RewardParams(alpha=0.05)
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         history = history_from(
             [
                 ([Reverse("i0")], 9.0),
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        history = ranked_history(history, chain_nest(1), SMALL_SPACE)
+        history = ranked_history(history, root_node(chain_nest(1), SMALL_SPACE))
         assert apply_transfer(tree, history, reward_params) == (1, 1)
         assert_consistent(tree)
         by_key = {c.space.key: c for c in tree.children.values()}
@@ -408,7 +420,8 @@ class TestApplyTransfer:
 
     def test_shared_identity_escapes_the_penalty(self):
         reward_params = RewardParams(alpha=0.05)
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        root = root_node(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root)
         # The slow record tiles like the fast one, so it is not punished.
         history = history_from(
             [
@@ -416,23 +429,23 @@ class TestApplyTransfer:
                 ([Unroll("i0", 2)], 0.5),
             ]
         )
-        apply_transfer(tree, ranked_history(history, chain_nest(1), SMALL_SPACE), reward_params)
+        apply_transfer(tree, ranked_history(history, root), reward_params)
         by_key = {c.space.key: c for c in tree.children.values()}
         assert by_key["unroll(i0;2)"].total_reward >= 1.0  # prefix of the upper path
         assert all(c.total_reward >= 0.0 for c in tree.children.values())
 
     def test_root_only_history_touches_only_the_tree_root(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
-        history = ranked_history(history_from([]), chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
+        history = ranked_history(history_from([]), root_node(chain_nest(1), SMALL_SPACE))
         apply_transfer(tree, history, DEFAULT_REWARD)
         assert tree.visits == 1 and tree.children == {}
 
     def test_no_successes_means_no_transfer(self):
-        tree = make_root(chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         failures = [
             eval_record(Configuration((Reverse("i0"),)), CompileFailure("x"), None, 1, 0)
         ]
-        history = ranked_history(failures, chain_nest(1), SMALL_SPACE)
+        history = ranked_history(failures, root_node(chain_nest(1), SMALL_SPACE))
         assert apply_transfer(tree, history, DEFAULT_REWARD) == (0, 0)
         assert tree.visits == 0 and tree.children == {}
 
@@ -443,8 +456,8 @@ class TestApplyTransfer:
         for k, steps in enumerate(([Reverse("i0")], [Unroll("i0", 2)]), start=1):
             session.measure(Configuration(tuple(steps)), phase=0)
         calls_before = len(calls)
-        tree = make_root(chain_nest(1), SMALL_SPACE)
-        history = ranked_history(session.records, chain_nest(1), SMALL_SPACE)
+        tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
+        history = ranked_history(session.records, root_node(chain_nest(1), SMALL_SPACE))
         apply_transfer(tree, history, DEFAULT_REWARD)
         assert len(calls) == calls_before
         assert tree.visits > 0  # the replayed paths really landed
@@ -461,28 +474,28 @@ DEEP_HISTORY = [
 ]
 
 
-def assert_children_extend_their_parent(node, space_params):
+def assert_children_extend_their_parent(node):
     for index, child in node.children.items():
-        step = space.child_transformation(node.space, index, space_params)
+        step = space.child_transformation(node.space, index)
         assert child.space.config == node.space.config.extended(step)
         assert child.depth == node.depth + 1 == child.space.depth
-        assert_children_extend_their_parent(child, space_params)
+        assert_children_extend_their_parent(child)
 
 
 class TestLazyTree:
     def test_a_dropped_tree_leaves_no_garbage_cycle(self):
         reward_params = RewardParams(alpha=0.4)
-        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), SMALL_SPACE)
+        history = ranked_history(history_from(DEEP_HISTORY), root_node(chain_nest(2), SMALL_SPACE))
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             gc.collect()
-            tree = make_root(chain_nest(2), SMALL_SPACE)
+            tree = make_root(root_node(chain_nest(2), SMALL_SPACE))
             apply_transfer(tree, history, reward_params)
             rng = random.Random(0)
             for _ in range(3):
                 expand(tree, rng).space
-            assert_children_extend_their_parent(tree, SMALL_SPACE)
+            assert_children_extend_their_parent(tree)
             del tree
             assert gc.collect() == 0
         finally:
@@ -491,8 +504,8 @@ class TestLazyTree:
 
     def test_replayed_nodes_build_their_records_prefixes(self):
         reward_params = RewardParams(alpha=0.4)
-        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), SMALL_SPACE)
-        tree = make_root(chain_nest(2), SMALL_SPACE)
+        history = ranked_history(history_from(DEEP_HISTORY), root_node(chain_nest(2), SMALL_SPACE))
+        tree = make_root(root_node(chain_nest(2), SMALL_SPACE))
         # Every non-root record is replayed, from the path its entry carries.
         assert apply_transfer(tree, history, reward_params) == (2, 2)
         for _, _, record, path in history.entries()[1:]:
@@ -502,7 +515,7 @@ class TestLazyTree:
                 assert node.space.config == Configuration(record.config.steps[:depth])
             assert node.space.key == record.key
         assert_consistent(tree)
-        assert_children_extend_their_parent(tree, SMALL_SPACE)
+        assert_children_extend_their_parent(tree)
 
     def test_restart_run_builds_each_node_state_once(self, monkeypatch):
         census_nests = []
@@ -523,7 +536,7 @@ class TestLazyTree:
 
         def counting_child_index(node, step, params, child_index=space.child_index):
             child_index_calls.append(step)
-            return child_index(node, step, params)
+            return child_index(node, step)
 
         def recording_transfer(tree, history, reward_params, apply_transfer=mcts.apply_transfer):
             lower, upper = quantile_split(history, reward_params.alpha)
@@ -544,10 +557,10 @@ class TestLazyTree:
             restarts.append(nodes)
             restart(nodes)
 
-        def recording_census(node, params, census=space._census):
+        def recording_census(node, census=space._census):
             if node.census is None:
                 census_phases[node.key].append(len(restarts))
-            return census(node, params)
+            return census(node)
 
         monkeypatch.setattr(mcts._SpaceNodes, "restart", counting_restart)
         monkeypatch.setattr(space, "_census", recording_census)
@@ -560,7 +573,7 @@ class TestLazyTree:
         params = MctsParams(per_run_budget=60, n_walks=10)
         session = make_session(SyntheticLandscape(seed=1), max_unique=600)
         rngs = random.Random(1), random.Random(2)
-        search(session, nest, SpaceParams(), DEFAULT_REWARD, params, *rngs)
+        search(session, root_node(nest, SpaceParams()), DEFAULT_REWARD, params, *rngs)
         phases = max(r.phase for r in session.records) + 1
         assert phases >= 5
 
@@ -608,7 +621,7 @@ class TestLazyTree:
 
         def counting_child_index(node, step, params, child_index=space.child_index):
             child_index_calls.append(step)
-            return child_index(node, step, params)
+            return child_index(node, step)
 
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "child_index", counting_child_index)
@@ -618,13 +631,13 @@ class TestLazyTree:
         params = MctsParams(per_run_budget=60, n_walks=10)
         nest = load_loop_nest(CHAIN3_NEST)
         rngs = random.Random(1), random.Random(2)
-        search(session, nest, SpaceParams(), DEFAULT_REWARD, params, *rngs)
+        search(session, root_node(nest, SpaceParams()), DEFAULT_REWARD, params, *rngs)
         assert max(r.phase for r in session.records) >= 4
         assert child_index_calls == []
         assert transfer_censuses == []
 
     def test_a_space_node_no_phase_asks_for_is_dropped_after_the_next_restart(self):
-        nodes = mcts._SpaceNodes(chain_nest(2), SMALL_SPACE)
+        nodes = mcts._SpaceNodes(root_node(chain_nest(2), SMALL_SPACE))
         was_enabled = gc.isenabled()
         gc.disable()  # reference counting alone must free the node
         try:
@@ -655,11 +668,11 @@ class TestLazyTree:
                 SyntheticLandscape(seed=seeds[0]), max_unique=30, max_iterations=600
             )
             rngs = random.Random(seeds[1]), random.Random(seeds[2])
-            search(session, nest, space_params, DEFAULT_REWARD, params, *rngs)
+            search(session, root_node(nest, space_params), DEFAULT_REWARD, params, *rngs)
             return [r.to_dict() for r in session.records]
 
         def always_miss(nodes, parent, index):
-            return space.child(parent, index, nodes.params)
+            return space.child(parent, index)
 
         handed_on = run()
         with mock.patch.object(mcts._SpaceNodes, "child", always_miss):
@@ -679,23 +692,22 @@ def count_search_nodes(monkeypatch) -> list:
     return built
 
 
-def random_history(rng, nest, params):
-    """The root, then records at the ends of random walks, each with its path.
+def random_history(rng, root):
+    """The space's root, then records at the ends of random walks, each with its path.
 
     Outcomes mix failures, tied and untied speedups; a configuration may
     repeat, so paths share prefixes and whole paths recur.
     """
     history = RankedHistory()
-    root = space.root_node(nest)
     history.add(eval_record(root.config, Time(1.0), 1.0, 0, 0), ())
     for k in range(1, rng.randint(1, 40)):
         node, path = root, []
-        for _ in range(rng.randint(1, params.d_max)):
-            n = space.child_count(node, params)
+        for _ in range(rng.randint(1, root.params.d_max)):
+            n = space.child_count(node)
             if n == 0:
                 break
             path.append(rng.randrange(n))
-            node = space.child(node, path[-1], params)
+            node = space.child(node, path[-1])
         h = rng.choice([None, 0.5, 1.0, 2.0, rng.uniform(0.1, 10.0)])
         outcome = CompileFailure("x") if h is None else Time(1.0 / h)
         history.add(eval_record(node.config, outcome, h, k, 0), tuple(path))
@@ -723,8 +735,8 @@ NON_DYADIC_PENALTIES = (-0.1, -0.3, -0.7, -1 / 3, -2.2)
 class TestLazyTransfer:
     def test_transfer_builds_no_node_and_a_read_builds_one_level(self, monkeypatch):
         reward_params = RewardParams(alpha=0.4)
-        history = ranked_history(history_from(DEEP_HISTORY), chain_nest(2), SMALL_SPACE)
-        tree = make_root(chain_nest(2), SMALL_SPACE)
+        history = ranked_history(history_from(DEEP_HISTORY), root_node(chain_nest(2), SMALL_SPACE))
+        tree = make_root(root_node(chain_nest(2), SMALL_SPACE))
         built = count_search_nodes(monkeypatch)
         assert apply_transfer(tree, history, reward_params) == (2, 2)
         assert built == []
@@ -752,7 +764,7 @@ class TestLazyTransfer:
         params = MctsParams(per_run_budget=60, n_walks=10)
         nest = chain_nest(3, arrays=("A", "B"))
         rngs = random.Random(1), random.Random(2)
-        search(session, nest, SpaceParams(), DEFAULT_REWARD, params, *rngs)
+        search(session, root_node(nest, SpaceParams()), DEFAULT_REWARD, params, *rngs)
         assert in_transfer == [0] * session.phases == [0] * 11
         # An eager replay of every path builds 2,288 here, 743 of them in the transfer.
         assert len(built) == 1880
@@ -766,9 +778,9 @@ class TestLazyTransfer:
     def test_a_fully_read_tree_equals_the_eager_replay(self, rng, r_penalty, alpha):
         nest = random_nest(rng)
         reward_params = RewardParams(alpha=alpha, r_penalty=r_penalty)
-        space_params = random_params(rng, d_max=4)
-        history = random_history(rng, nest, space_params)
-        lazy, eager = make_root(nest, space_params), make_root(nest, space_params)
+        root = root_node(nest, random_params(rng, d_max=4))
+        history = random_history(rng, root)
+        lazy, eager = make_root(root), make_root(root)
         counts = apply_transfer(lazy, history, reward_params)
         assert counts == eager_transfer(eager, history, reward_params)
         assert_same_tree(lazy, eager)
@@ -795,7 +807,7 @@ class TestLazyTransfer:
 def search_small(session, nest, walks_seed, expand_seed, **knobs):
     """``search`` over ``SMALL_SPACE`` with the default reward and ``MctsParams(**knobs)``."""
     rngs = random.Random(walks_seed), random.Random(expand_seed)
-    search(session, nest, SMALL_SPACE, DEFAULT_REWARD, MctsParams(**knobs), *rngs)
+    search(session, root_node(nest, SMALL_SPACE), DEFAULT_REWARD, MctsParams(**knobs), *rngs)
 
 
 @pytest.mark.usefixtures("checked")
@@ -880,6 +892,22 @@ class TestRestartHeavyRun:
         per_phase = sum(r.depth for p in range(last + 1) for r in summary.records if r.phase < p)
         assert len(calls) < per_phase / 3
 
+    def test_first_divergence_names_where_two_penalties_part(self):
+        configs = [
+            replace(restart_heavy_config(), reward=RewardParams(r_penalty=p)) for p in (-1.0, -0.3)
+        ]
+        logs = [run_experiment(config).records for config in configs]
+        assert first_divergence(*logs) == (
+            (170, 2, "tile(i;32;peel)|tile(i.f;8;peel)"),
+            (170, 2, "unroll(i;8)|tile(i;4;peel)"),
+        )
+        assert first_divergence(logs[0], list(logs[0])) is None
+        last = logs[1][-1]
+        assert first_divergence(logs[1][:-1], logs[1]) == (
+            None,
+            (last.iteration, last.phase, last.key),
+        )
+
     def test_one_debug_record_per_phase_leaves_the_log_pinned(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="pragmatune")
         summary = run_experiment(restart_heavy_config(str(tmp_path)))
@@ -926,7 +954,7 @@ def run_phase_end_case(reason: str) -> tuple[SearchSession, MctsParams]:
     )
     params = MctsParams(**knobs)
     rngs = random.Random(1), random.Random(2)
-    search(session, nest, space_params, DEFAULT_REWARD, params, *rngs)
+    search(session, root_node(nest, space_params), DEFAULT_REWARD, params, *rngs)
     return session, params
 
 
@@ -1008,6 +1036,19 @@ class TestPhaseEnd:
                 assert point is None or point[0] == len(main)
         if run == "long_demo":
             assert [p["ended"] for p in phases].count("same_config") == 1
+
+    def test_a_phase_runs_twenty_times_its_evaluation_budget_past_its_walks(self, caplog):
+        # On the repro's 15 configurations, phase 1 measures all it can
+        # find, then runs on cache hits to the cap.
+        caplog.set_level(logging.DEBUG, logger="pragmatune")
+        evaluator = CachedEvaluator(SyntheticLandscape(3))
+        session = SearchSession(evaluator, Budget(max_iterations=5000), "mcts", simulated=True)
+        params = MctsParams(per_run_budget=60)
+        rngs = random.Random(1), random.Random(2)
+        search(session, root_node(REPRO_NEST, REPRO_SPACE), DEFAULT_REWARD, params, *rngs)
+        phase = [r.args for r in caplog.records if r.funcName == "search"][1]
+        assert phase["ended"] == "iteration_cap"
+        assert phase["iterations"] == params.n_walks + 20 * params.per_run_budget == 1210
 
     def test_the_summary_counts_a_phase_that_measures_nothing_fresh(self, caplog):
         caplog.set_level(logging.DEBUG, logger="pragmatune")

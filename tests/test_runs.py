@@ -21,7 +21,7 @@ from pragmatune.mcts import MctsParams
 from pragmatune.reports import read_log, write_log
 from pragmatune.reward import RankedHistory
 from pragmatune.session import Budget, SearchSession
-from pragmatune.space import child, child_index, root_node
+from pragmatune.space import SpaceParams, child, child_index, root_node
 
 from helpers import chain_nest, consistent_playouts, random_nest, random_params
 
@@ -36,6 +36,7 @@ from helpers import chain_nest, consistent_playouts, random_nest, random_params
 def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_unique, max_iterations):
     nest = random_nest(rng)
     space_params = random_params(rng, d_max=rng.randint(1, 4))
+    root = root_node(nest, space_params)
     config = ExperimentConfig(
         nest_text="",
         method=method,
@@ -55,7 +56,7 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
     with consistent_playouts() as playouts, mock.patch.object(
         mcts, "_SpaceNodes", lambda *args: space_nodes.append(make_nodes(*args)) or space_nodes[-1]
     ):
-        METHODS[method](session, nest, config)
+        METHODS[method](session, root, config)
     records = session.records
 
     assert session.stop_reason in ("unique_budget", "iterations", "space_exhausted")
@@ -80,12 +81,11 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
     history = space_nodes[0].history.entries() if space_nodes else None
     if history is not None:
         assert [id(entry[2]) for entry in history] == [id(r) for r in records]
-    start = root_node(nest)
     for record in records:
-        node, indices = start, []
+        node, indices = root, []
         for step in record.config.steps:
-            indices.append(child_index(node, step, space_params))
-            node = child(node, indices[-1], space_params)
+            indices.append(child_index(node, step))
+            node = child(node, indices[-1])
         assert node.key == record.key
         if history is not None:
             assert history[record.iteration][3] == tuple(indices)
@@ -96,6 +96,30 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
         write_log(read_log(first), second)
         assert read_log(first) == records
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_reused_root_logs_what_a_fresh_root_logs(method):
+    # A node's lazy nest and census are pure caches: two runs in a row on
+    # one root each log what the same run logs on a fresh root.
+    nest = chain_nest(2, arrays=("A",))
+
+    def run(root, seed):
+        session = SearchSession(
+            CachedEvaluator(SyntheticLandscape(seed=seed)),
+            Budget(max_unique=40, max_iterations=4000),
+            method=method,
+            simulated=True,
+        )
+        search = MctsParams(per_run_budget=10, n_walks=3)
+        config = ExperimentConfig(nest_text="", method=method, seed=seed, search=search)
+        METHODS[method](session, root, config)
+        return [r.to_dict() for r in session.records]
+
+    fresh = [run(root_node(nest, SpaceParams()), seed) for seed in (1, 2)]
+    shared = root_node(nest, SpaceParams())
+    assert [run(shared, seed) for seed in (1, 2)] == fresh
+    assert shared.census is not None and fresh[0] != fresh[1]
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
@@ -114,6 +138,6 @@ def test_only_mcts_ranks_its_records(method):
     with mock.patch.object(
         RankedHistory, "add", lambda history, *args: adds.append(args) or add(history, *args)
     ):
-        METHODS[method](session, chain_nest(2, arrays=("A",)), config)
+        METHODS[method](session, root_node(chain_nest(2, arrays=("A",)), config.space), config)
     assert session.unique_evaluations == 40
     assert len(adds) == (len(session.records) if method == "mcts" else 0)
