@@ -9,7 +9,7 @@ plus a summary. The CLI wraps the same calls:
     pragmatune tune --config demos/experiment.json --out /tmp/run
     pragmatune report trajectory --log /tmp/run/log.jsonl
     pragmatune report cutoff --log /tmp/run/log.jsonl other/log.jsonl
-    pragmatune space dump --nest demos/matscale_nest.json --max-depth 2
+    pragmatune space dump --config demos/experiment.json --max-depth 2
 """
 
 import tempfile

@@ -31,7 +31,7 @@ def random_search(session: SearchSession, root: SpaceNode, rng: random.Random) -
         return
     while True:
         node = random_walk(root, rng.randint(1, root.params.d_max), rng)
-        if session.measure(node.config, phase=0) is None:
+        if session.measure(node.config) is None:
             return
 
 
@@ -49,7 +49,7 @@ def _expand_all(
         node = pop()
         for index in range(child_count(node)):
             successor = child(node, index)
-            measured = session.measure(successor.config, phase=0)
+            measured = session.measure(successor.config)
             if measured is None:
                 return
             push(successor, measured[0])

@@ -2,7 +2,7 @@
 
 Subcommands: ``tune`` runs one experiment from a config file, ``report``
 turns run logs into tables (trajectory, cutoff, best-depth), and
-``space dump`` prints per-depth node counts for a nest description.
+``space dump`` prints per-depth node counts of an experiment's space.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .harness import (
     configure_logging,
     load_experiment_config,
     run_experiment,
+    space_root,
 )
-from .loops import load_loop_nest
 from .reports import emit_best_depth, emit_cutoff_counts, emit_trajectory, read_log
-from .space import SpaceParams, level_counts, root_node
+from .space import level_counts
 
 
 def _percent(text: str) -> float:
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     space_cmd = commands.add_parser("space", help="inspect a search space")
     dump = space_cmd.add_subparsers(dest="kind", required=True).add_parser("dump")
-    dump.add_argument("--nest", required=True, help="nest description file")
+    dump.add_argument("--config", required=True, help="experiment JSON file")
     dump.add_argument("--max-depth", type=_depth, required=True)
     return parser
 
@@ -114,9 +114,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(emit_best_depth(logs))
         else:
-            nest = load_loop_nest(Path(args.nest).read_text())
+            root = space_root(load_experiment_config(args.config))
             print("depth\tnodes")
-            for depth, count in level_counts(root_node(nest, SpaceParams()), args.max_depth):
+            for depth, count in level_counts(root, args.max_depth):
                 print(f"{depth}\t{count}")
     except (PragmatuneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,13 +113,14 @@ def _run(cmd: str, timeout_s: float) -> subprocess.CompletedProcess:
     """Run ``cmd`` in its own process group; a timeout kills the whole group.
 
     Killing only the direct child would leave its children (a compiler's
-    backend, a shell's background job) running.
+    backend, a shell's background job) running. Bytes that are not UTF-8 read as U+FFFD.
     """
     with subprocess.Popen(
         shlex.split(cmd),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        errors="replace",
         start_new_session=True,
     ) as proc:
         try:

@@ -176,6 +176,11 @@ class ExperimentSummary:
         return doc
 
 
+def space_root(config: ExperimentConfig) -> SpaceNode:
+    """The space a run of ``config`` searches: its nest bounded by its ``space`` params."""
+    return root_node(load_loop_nest(config.nest_text), config.space)
+
+
 def build_evaluator(config: ExperimentConfig):
     """The inner evaluator, and whether its run keeps simulated time (synthetic ones do)."""
     spec = _evaluator_spec(config.evaluator)
@@ -202,11 +207,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     counting frees all it drops and the collector would only rescan
     live objects.
     """
-    nest = load_loop_nest(config.nest_text)
+    root = space_root(config)
     spec = _evaluator_spec(config.evaluator)
     if isinstance(spec, ExternalJobSpec):
         anchors = template_anchors(spec.source_template)
-        if missing := [l.id for l in nest.walk() if l.transformable and l.id not in anchors]:
+        if missing := [l.id for l in root.nest.walk() if l.transformable and l.id not in anchors]:
             raise MissingAnchorError(f"template has no anchor for loop(s) {', '.join(missing)}")
     evaluator, simulated = build_evaluator(config)
     if config.out_dir is not None:
@@ -218,7 +223,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        METHODS[config.method](session, root_node(nest, config.space), config)
+        METHODS[config.method](session, root, config)
     except BaseException as exc:
         session.stop_reason = "interrupted" if isinstance(exc, KeyboardInterrupt) else "error"
         raise

@@ -208,8 +208,8 @@ class _LoopEntry:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.id or ID_SEP in self.id:
-            raise ValueError(f"loop id must be non-empty and contain no '.': {self.id!r}")
+        if not (self.id.isascii() and self.id.isidentifier()):
+            raise ValueError(f"loop id must be an ASCII identifier: {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,9 @@ class _NestDocument:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not all(self.arrays) or len(set(self.arrays)) != len(self.arrays):
-            raise ValueError("'arrays' must be non-empty names, none repeated")
+        names = self.arrays
+        if not all(a.isascii() and a.isidentifier() for a in names) or len(set(names)) < len(names):
+            raise ValueError(f"'arrays' must be ASCII identifiers, none repeated: {list(names)}")
 
 
 def _parsed_loop(doc: object, seen: set[str]) -> Loop:
@@ -238,7 +239,8 @@ def load_loop_nest(text: str) -> LoopNest:
 
     Each loop entry holds ``id``, optional ``children`` (nested entries),
     and an optional ``transformable`` flag (default true). Ids must be
-    unique, non-empty, and free of ".". Every field follows the config
+    unique; ids and array names are ASCII identifiers, so every
+    configuration keeps a key of its own. Every field follows the config
     type rule (``errors.check_fields``), and an unknown key is an error.
     """
     try:

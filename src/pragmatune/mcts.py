@@ -20,7 +20,9 @@ scores children inline and ``expand`` counts to its draw without
 building a list. Each phase sends one debug record to the
 ``pragmatune`` logger. Each knob has one home: ``search`` takes the
 run's space (its root node, which carries the ``SpaceParams``) and
-``RewardParams`` beside its own ``MctsParams``.
+``RewardParams`` beside its own ``MctsParams``. ``search`` sets the
+session's ``target`` and ``phases``, which stamp each record, and a
+playout reads its reward's target and penalty back from the session.
 """
 
 from __future__ import annotations
@@ -246,38 +248,27 @@ def _descend(path: list[SearchNode], depth: int, rng: random.Random) -> None:
         path.append(node)
 
 
-def _playout(
-    path: list[SearchNode],
-    session: SearchSession,
-    reward_params: RewardParams,
-    target: TargetState,
-    phase: int,
-) -> tuple[EvalRecord, bool] | None:
-    """Measure the path's end, reward it, and backpropagate along the path.
+def _playout(path: list[SearchNode], session: SearchSession) -> tuple[EvalRecord, bool] | None:
+    """Measure the path's end, reward it against the session's target, and backpropagate.
 
     Returns what ``session.measure`` returned; None (out of budget)
     leaves the tree untouched. A fresh record enters the history with its path.
     """
     node = path[-1]
-    measured = session.measure(node.space.config, phase, target)
+    measured = session.measure(node.space.config)
     if measured is None:
         return None
     record, fresh = measured
     if fresh:
         node._nodes.history.add(record, tuple(n.index for n in path[1:]))
-    backpropagate(path, reward(record.outcome, record.h, target.f, reward_params))
+    target = session.target
+    backpropagate(path, reward(record.outcome, record.h, target.f, target.params))
     node.terminal_count += 1
     return measured
 
 
 def learn_depth(
-    tree: SearchNode,
-    session: SearchSession,
-    params: MctsParams,
-    reward_params: RewardParams,
-    target: TargetState,
-    rng: random.Random,
-    phase: int,
+    tree: SearchNode, session: SearchSession, params: MctsParams, rng: random.Random
 ) -> int:
     """Sample random walks of uniform random depth and pick the best one's.
 
@@ -290,7 +281,7 @@ def learn_depth(
     for _ in range(params.n_walks):
         path = [tree]
         _descend(path, rng.randint(1, tree.space.params.d_max), rng)
-        measured = _playout(path, session, reward_params, target, phase)
+        measured = _playout(path, session)
         if measured is None:
             break
         h = measured[0].h
@@ -339,9 +330,9 @@ def search(
     when ``same`` counts ``same_config_limit`` playouts in a row, cache
     hits included, that measured one key.
     """
-    target = TargetState(reward_params)
+    session.target = TargetState(reward_params)
     nodes = _SpaceNodes(root)
-    nodes.history.add(session.evaluate_root(target), ())
+    nodes.history.add(session.evaluate_root(), ())
     phase = 0
     while not session.out_of_budget():
         session.phases = phase + 1
@@ -352,7 +343,7 @@ def search(
             return
         upper, penalized = apply_transfer(tree, nodes.history, reward_params)
         evals_before, iterations_before = session.unique_evaluations, session.iterations
-        d_star = learn_depth(tree, session, params, reward_params, target, rng_walks, phase)
+        d_star = learn_depth(tree, session, params, rng_walks)
         iteration_cap = session.iterations + params.per_run_budget * _PHASE_ITERATION_CAP_FACTOR
         no_improve = same = 0
         last_key = ended = None
@@ -373,7 +364,7 @@ def search(
                 if leaf.depth < d_star and len(leaf.children) < leaf.n_children:
                     path.append(expand(leaf, rng_expand))
                 _descend(path, d_star, rng_walks)
-                measured = _playout(path, session, reward_params, target, phase)
+                measured = _playout(path, session)
                 if measured is None:
                     ended = "global_budget"
                     continue

@@ -58,19 +58,19 @@ class TargetState:
     Successful speedups enter a window of the last ``m`` values; the
     target is the running maximum of the window mean (monotone mode) or
     the mean clamped below by the initial target. Failures never touch
-    the window.
+    the window. ``params`` are the run's reward knobs, the penalty too.
     """
 
     def __init__(self, params: RewardParams, initial: float = 1.0):
+        self.params = params
         self.f = initial
         self._initial = initial
         self._recent: deque[float] = deque(maxlen=params.m)
-        self._monotone = params.monotone_target
 
     def update(self, h: float) -> float:
         """Push one successful speedup and return the new target."""
         self._recent.append(h)
-        floor = self.f if self._monotone else self._initial
+        floor = self.f if self.params.monotone_target else self._initial
         self.f = max(floor, math.fsum(self._recent) / len(self._recent))
         return self.f
 

@@ -5,10 +5,12 @@ spends the global budget (each ``measure`` is one iteration, refused
 once a bound trips), tracks the best configuration, keeps one
 EvalRecord per fresh evaluation, each one line of the run log (cache
 hits produce nothing), keeps the run's time, and records why the run
-stopped. Ranking the records for history transfer is left to the
-searcher that transfers. Searchers return nothing: the session is the
-result. The root baseline is measured once per run and does not consume
-budget.
+stopped. It is the one source of a record's ``phase`` (the last phase
+begun, ``phases - 1``) and ``f`` (its reward ``target``, which mcts
+sets and the baselines leave None). Ranking the records for history
+transfer is left to the searcher that transfers. Searchers return
+nothing: the session is the result. The root baseline is measured once
+per run and does not consume budget.
 
 A simulated session's time is the sum of its successful fresh
 measurements' seconds, so synthetic logs (wall-clock column included)
@@ -132,6 +134,9 @@ class SearchSession:
         self.root_time: float | None = None
         self.iterations = 0
         self.phases = 1  # phases begun: one for a baseline, set per phase by mcts
+        # The reward target a searcher sets before the root is measured;
+        # every success updates it, and each fresh record logs it as ``f``.
+        self.target: TargetState | None = None
         # Why the run ended: a bound (set by ``out_of_budget``),
         # "space_exhausted" (set by the searcher), or "interrupted" or
         # "error" (set by the harness as an exception leaves the search).
@@ -169,18 +174,16 @@ class SearchSession:
             return False
         return True
 
-    def evaluate_root(self, target: TargetState | None = None) -> EvalRecord:
+    def evaluate_root(self) -> EvalRecord:
         """Measure the empty configuration; its time is the speedup baseline."""
         config = Configuration()
         outcome = self.cache.evaluate(config)
         if not outcome.ok:
             raise RootEvaluationError(f"root configuration failed: {outcome}")
         self.root_time = outcome.seconds
-        return self._record(config, outcome, 1.0, 0, target)
+        return self._record(config, outcome, 1.0)
 
-    def measure(
-        self, config: Configuration, phase: int, target: TargetState | None = None
-    ) -> tuple[EvalRecord, bool] | None:
+    def measure(self, config: Configuration) -> tuple[EvalRecord, bool] | None:
         """Spend one iteration on ``config``, unless a bound has tripped.
 
         Returns None, counting nothing, once ``out_of_budget`` is True.
@@ -188,7 +191,7 @@ class SearchSession:
         whether it is fresh: a configuration seen before costs no
         evaluation and returns the record first measured for its key; an
         unseen one is evaluated through the cache. Every successful
-        measurement, repeats included, updates ``target`` when one is given.
+        measurement, repeats included, updates ``target`` when one is set.
         """
         if self.root_time is None:
             raise RootEvaluationError("evaluate_root must run before measure")
@@ -197,34 +200,28 @@ class SearchSession:
         self.count_iteration()
         record = self._by_key.get(config.key)
         if record is not None:
-            if target is not None and record.h is not None:
-                target.update(record.h)
+            if self.target is not None and record.h is not None:
+                self.target.update(record.h)
             return record, False
         outcome = self.cache.evaluate(config)
         h = speedup(self.root_time, outcome.seconds) if outcome.ok else None
-        return self._record(config, outcome, h, phase, target), True
+        return self._record(config, outcome, h), True
 
-    def _record(
-        self,
-        config: Configuration,
-        outcome: Outcome,
-        h: float | None,
-        phase: int,
-        target: TargetState | None,
-    ) -> EvalRecord:
+    def _record(self, config: Configuration, outcome: Outcome, h: float | None) -> EvalRecord:
         """Keep the record of a fresh evaluation.
 
-        The logged ``f`` is the target after this evaluation's update,
+        The record's ``phase`` is the last phase begun, its ``f`` the
+        target after this evaluation's update (None without a target),
         and ``best_so_far_h`` counts this evaluation.
         """
         self._measured_s += outcome.seconds if outcome.ok else 0.0
         f = None
-        if target is not None:
-            f = target.update(h) if h is not None else target.f
+        if self.target is not None:
+            f = self.target.update(h) if h is not None else self.target.f
         improved = self.best is None or (h is not None and h > self.best.h)
         record = EvalRecord(
             iteration=len(self._by_key),
-            phase=phase,
+            phase=self.phases - 1,
             method=self.method,
             key=config.key,
             pragmas=tuple(pragma_lines(config)),

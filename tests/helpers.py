@@ -288,8 +288,8 @@ def consistent_playouts():
     playout = mcts._playout
     playouts: list[bool] = []
 
-    def checked(path, *args):
-        measured = playout(path, *args)
+    def checked(path, session):
+        measured = playout(path, session)
         assert_consistent(path[0])
         playouts.append(measured is not None)
         return measured
@@ -309,7 +309,7 @@ def scripted_phase_end(script, **knobs) -> tuple[str, int]:
     """
     measured = iter([*script, ("after the script", True, True)])
 
-    def playout(path, session, *args):
+    def playout(path, session):
         key, fresh, improved = next(measured)
         session.count_iteration()
         record = SimpleNamespace(key=key)

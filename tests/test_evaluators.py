@@ -283,6 +283,18 @@ class TestEvaluateExternal:
         # One timeout each: the hung run is not repeated.
         assert time.monotonic() - start < 1.5
 
+    @pytest.mark.parametrize(
+        "compile_cmd, run_cmd",
+        [("printf '\\377'", "printf 0.5"), ("true", "printf '\\377 0.5\\n'")],
+    )
+    def test_output_that_is_not_utf8_is_still_read(self, compile_cmd, run_cmd):
+        # A 0xff byte on a compile's or a run's output once raised
+        # UnicodeDecodeError out of the evaluator and ended the run.
+        job = ExternalJobSpec(
+            source_template=TEMPLATE, compile_cmd=compile_cmd, run_cmd=run_cmd, repetitions=1
+        )
+        assert evaluate_external(Configuration(), job) == Time(0.5)
+
     def test_rendered_pragmas_reach_the_compiler(self, tmp_path):
         checker = write_stub(
             tmp_path / "cc.py",

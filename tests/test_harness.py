@@ -754,24 +754,35 @@ class TestCli:
         assert best_out.startswith("method\tbest_depth\tbest_h\tkey")
 
     def test_space_dump(self, experiment_dir, capsys):
-        code = main(
-            ["space", "dump", "--nest", str(experiment_dir / "nest.json"), "--max-depth", "1"]
-        )
-        assert code == 0
+        path = str(write_experiment(experiment_dir))
+        assert main(["space", "dump", "--config", path, "--max-depth", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "depth\tnodes"
         assert lines[1] == "0\t1"
         assert lines[2] == "1\t35"
 
+    def test_space_dump_counts_the_space_the_experiment_searches(self, tmp_path, capsys):
+        # README's example space; the dump once ignored it and counted
+        # the default space (35 nodes at depth 1).
+        path = write_experiment(
+            tmp_path,
+            nest=str(REPO / "demos" / "matscale_nest.json"),
+            space={"tile_sizes": [2, 4, 8, 16, 32], "d_max": 5},
+        )
+        assert main(["space", "dump", "--config", str(path), "--max-depth", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["depth\tnodes", "0\t1", "1\t25"]
+        config = load_experiment_config(path)
+        assert harness.space_root(config).params == config.space
+
     @pytest.mark.parametrize("depth", ["-1", "-5", "x"])
     def test_a_negative_or_non_integer_depth_is_a_usage_error(self, experiment_dir, capsys, depth):
-        nest = str(experiment_dir / "nest.json")
+        path = str(write_experiment(experiment_dir))
         with pytest.raises(SystemExit) as raised:
-            main(["space", "dump", "--nest", nest, "--max-depth", depth])
+            main(["space", "dump", "--config", path, "--max-depth", depth])
         assert raised.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--max-depth" in captured.err
-        assert main(["space", "dump", "--nest", nest, "--max-depth", "0"]) == 0
+        assert main(["space", "dump", "--config", path, "--max-depth", "0"]) == 0
         assert capsys.readouterr().out.splitlines() == ["depth\tnodes", "0\t1"]
 
     def test_bad_scalar_field_exits_with_two(self, experiment_dir, capsys):
@@ -902,6 +913,8 @@ class TestCli:
             ({"loops": [{"id": "i", "childern": [{"id": "j"}]}]}, "'childern'"),
             ({"loops": [{"id": "i", "transformible": False}]}, "'transformible'"),
             ({"loops": [{"id": "i"}], "array": ["A"]}, "'array'"),
+            ({"loops": [{"id": "x)|reverse(y"}]}, "ASCII identifier"),
+            ({"loops": [{"id": "i"}], "arrays": ["A;x"]}, "ASCII identifiers"),
         ],
     )
     def test_a_wrong_typed_or_unknown_nest_field_exits_with_two(
@@ -947,6 +960,6 @@ class TestCli:
     def test_errors_exit_with_two(self, experiment_dir, capsys):
         assert main(["tune", "--config", str(experiment_dir / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
-        bad_nest = experiment_dir / "bad.json"
-        bad_nest.write_text("{}")
-        assert main(["space", "dump", "--nest", str(bad_nest), "--max-depth", "1"]) == 2
+        (experiment_dir / "bad.json").write_text("{}")
+        bad_nest = write_experiment(experiment_dir, nest="bad.json")
+        assert main(["space", "dump", "--config", str(bad_nest), "--max-depth", "1"]) == 2

@@ -96,6 +96,23 @@ class TestLoadLoopNest:
         with pytest.raises(NestParseError):
             load_loop_nest(nest_doc(loops=[{"id": ""}]))
 
+    def test_a_key_colliding_id_or_array_name_is_rejected(self):
+        # With loops x, y and "x)|reverse(y", reversing the third had the
+        # key of reversing x then y, so the session answered one
+        # configuration with the other's record.
+        assert Configuration((Reverse("x)|reverse(y"),)).key == Configuration(
+            (Reverse("x"), Reverse("y"))
+        ).key
+        with pytest.raises(NestParseError, match="ASCII identifier"):
+            load_loop_nest(nest_doc(loops=[{"id": "x"}, {"id": "y"}, {"id": "x)|reverse(y"}]))
+        with pytest.raises(NestParseError, match="ASCII identifiers"):
+            load_loop_nest(nest_doc(loops=[{"id": "i"}], arrays=["A;x"]))
+
+    @pytest.mark.parametrize("loop_id", ["1i", "i-j", "i j", "\u00ef"])
+    def test_an_id_that_is_not_an_ascii_identifier_is_rejected(self, loop_id):
+        with pytest.raises(NestParseError):
+            load_loop_nest(nest_doc(loops=[{"id": loop_id}]))
+
     def test_children_must_be_list(self):
         with pytest.raises(NestParseError):
             load_loop_nest(nest_doc(loops=[{"id": "i", "children": {"id": "j"}}]))

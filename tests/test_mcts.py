@@ -336,10 +336,8 @@ class TestLearnDepth:
         session = make_session(flat_landscape())
         session.evaluate_root()
         tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
-        target = TargetState(DEFAULT_REWARD)
-        d_star = learn_depth(
-            tree, session, params, DEFAULT_REWARD, target, random.Random(5), phase=0
-        )
+        session.target = TargetState(DEFAULT_REWARD)
+        d_star = learn_depth(tree, session, params, random.Random(5))
         # Every walk backpropagates through the root exactly once.
         assert tree.visits == params.n_walks
         # A walk's first success is fresh, so it is the first successful record.
@@ -352,10 +350,8 @@ class TestLearnDepth:
         session = make_session(depth_rewarding_evaluator)
         session.evaluate_root()
         tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
-        target = TargetState(DEFAULT_REWARD)
-        d_star = learn_depth(
-            tree, session, params, DEFAULT_REWARD, target, random.Random(7), phase=0
-        )
+        session.target = TargetState(DEFAULT_REWARD)
+        d_star = learn_depth(tree, session, params, random.Random(7))
         walked = session.records[1:]  # one record per distinct walk end
         best = max((r for r in walked if r.h is not None), key=lambda r: r.h)
         assert d_star == best.depth
@@ -369,10 +365,8 @@ class TestLearnDepth:
         session = make_session(all_fail)
         session.evaluate_root()
         tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
-        target = TargetState(DEFAULT_REWARD)
-        d_star = learn_depth(
-            tree, session, params, DEFAULT_REWARD, target, random.Random(3), phase=0
-        )
+        session.target = TargetState(DEFAULT_REWARD)
+        d_star = learn_depth(tree, session, params, random.Random(3))
         assert d_star == 1
         assert tree.visits == params.n_walks
         assert all(r.h is None for r in session.records[1:])
@@ -382,10 +376,8 @@ class TestLearnDepth:
         session = make_session(flat_landscape(), max_unique=3)
         session.evaluate_root()
         tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
-        target = TargetState(DEFAULT_REWARD)
-        learn_depth(
-            tree, session, params, DEFAULT_REWARD, target, random.Random(1), phase=0
-        )
+        session.target = TargetState(DEFAULT_REWARD)
+        learn_depth(tree, session, params, random.Random(1))
         assert session.unique_evaluations <= 3
         assert tree.visits <= params.n_walks
 
@@ -454,7 +446,7 @@ class TestApplyTransfer:
         session = make_session(counting(flat_landscape(), calls), max_unique=10)
         session.evaluate_root()
         for k, steps in enumerate(([Reverse("i0")], [Unroll("i0", 2)]), start=1):
-            session.measure(Configuration(tuple(steps)), phase=0)
+            session.measure(Configuration(tuple(steps)))
         calls_before = len(calls)
         tree = make_root(root_node(chain_nest(1), SMALL_SPACE))
         history = ranked_history(session.records, root_node(chain_nest(1), SMALL_SPACE))
@@ -968,9 +960,9 @@ def trace_playouts(monkeypatch) -> tuple[Counter, defaultdict]:
     walks, playouts = Counter(), defaultdict(list)
     playout = mcts._playout
 
-    def spy(path, session, reward_params, target, phase):
-        best = session.best
-        measured = playout(path, session, reward_params, target, phase)
+    def spy(path, session):
+        best, phase = session.best, session.phases - 1
+        measured = playout(path, session)
         if measured is not None:
             if sys._getframe(1).f_code.co_name == "learn_depth":
                 walks[phase] += 1

@@ -76,6 +76,17 @@ def test_every_run_keeps_its_bounds_its_space_and_its_log(rng, method, max_uniqu
         assert record.best_so_far_h == best
     assert session.best.h == best
 
+    # The session stamps each record's phase and f: a baseline logs phase
+    # 0 and no target; mcts logs its target on every record, from 1.0 at
+    # the root, and phases that never go back nor pass the last one begun.
+    phases = [record.phase for record in records]
+    if method == "mcts":
+        assert records[0].phase == 0 and records[0].f == 1.0
+        assert all(record.f is not None for record in records)
+        assert phases == sorted(phases) and phases[-1] <= session.phases - 1
+    else:
+        assert set(phases) == {0} and all(record.f is None for record in records)
+
     # mcts: the history holds the session's records in order, each with
     # the path its playout walked (the root's is empty)
     history = space_nodes[0].history.entries() if space_nodes else None

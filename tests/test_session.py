@@ -59,7 +59,7 @@ class TestSessionTime:
         session = session_with(lambda c: Time(times[c.key]) if c.key in times else RunFailure())
         session.evaluate_root()
         for step in (Reverse("i"), Tile("i", 8), Reverse("i"), Unroll("i", 2), Reverse("j")):
-            session.measure(cfg(step), phase=0)
+            session.measure(cfg(step))
         running, expected = 0.0, []
         for key in ["", "reverse(i)", "tile(i;8;nopeel)", "unroll(i;2)", "reverse(j)"]:
             running += times.get(key, 0.0)  # the failed tile adds nothing
@@ -76,10 +76,10 @@ class TestSessionTime:
         root = session.evaluate_root()
         assert root.wall_clock_s == session.elapsed() == 0.0  # 10 s measured, none passed
         now[0] = 103.0
-        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        record, _ = session.measure(cfg(Reverse("i")))
         assert record.wall_clock_s == session.elapsed() == 3.0
         now[0] = 105.0
-        assert session.measure(cfg(Unroll("i", 2)), phase=0) is None
+        assert session.measure(cfg(Unroll("i", 2))) is None
         assert session.stop_reason == "wall_clock"
         assert session.unique_evaluations == 1
 
@@ -103,14 +103,15 @@ class TestEvaluateRoot:
     def test_measure_before_root_raises(self):
         session = session_with(lambda c: Time(1.0))
         with pytest.raises(RootEvaluationError):
-            session.measure(cfg(Reverse("i")), phase=0)
+            session.measure(cfg(Reverse("i")))
 
 
 class TestMeasure:
     def test_fresh_measurement_records_history(self):
         session = session_with(halver)
         session.evaluate_root()
-        record, fresh = session.measure(cfg(Reverse("i")), phase=1)
+        session.phases = 2  # the record's phase is the last one begun
+        record, fresh = session.measure(cfg(Reverse("i")))
         assert fresh
         assert record.h == 2.0
         assert record.iteration == 1 and record.phase == 1
@@ -119,12 +120,13 @@ class TestMeasure:
     def test_cache_hit_is_free_and_recordless(self):
         session = session_with(halver)
         session.evaluate_root()
-        session.measure(cfg(Reverse("i")), phase=0)
+        session.measure(cfg(Reverse("i")))
         elapsed = session.elapsed()
         first = session.records[-1]
-        again, fresh = session.measure(cfg(Reverse("i")), phase=3)
+        session.phases = 4
+        again, fresh = session.measure(cfg(Reverse("i")))
         assert not fresh
-        assert again is first  # the first record, not a new one
+        assert again is first and again.phase == 0  # the first record, not a new one
         assert again.h == 2.0
         assert len(session.records) == 2
         assert session.elapsed() == elapsed
@@ -136,7 +138,7 @@ class TestMeasure:
 
         session = session_with(flaky)
         session.evaluate_root()
-        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        record, _ = session.measure(cfg(Reverse("i")))
         assert record.h is None and record.outcome == CompileFailure("no")
         assert session.elapsed() == 1.0  # failures cost no simulated time
         assert session.best.key == ""
@@ -144,10 +146,10 @@ class TestMeasure:
     def test_a_tripped_bound_refuses_cached_and_unseen_alike(self):
         session = session_with(lambda c: Time(1.0), max_unique=1)
         session.evaluate_root()
-        assert session.measure(cfg(Reverse("i")), phase=0) is not None
+        assert session.measure(cfg(Reverse("i"))) is not None
         assert session.out_of_budget()
-        assert session.measure(cfg(Unroll("i", 2)), phase=0) is None
-        assert session.measure(cfg(Reverse("i")), phase=0) is None
+        assert session.measure(cfg(Unroll("i", 2))) is None
+        assert session.measure(cfg(Reverse("i"))) is None
         assert session.iterations == 1  # refused calls count nothing
         assert session.stop_reason == "unique_budget"
 
@@ -155,52 +157,53 @@ class TestMeasure:
         session = session_with(halver, max_iterations=3)
         session.evaluate_root()
         assert session.iterations == 0  # the root is free
-        session.measure(cfg(Reverse("i")), phase=0)
-        assert not session.measure(cfg(Reverse("i")), phase=0)[1]  # a hit costs an iteration
-        assert session.measure(cfg(Unroll("i", 2)), phase=0)[1]
+        session.measure(cfg(Reverse("i")))
+        assert not session.measure(cfg(Reverse("i")))[1]  # a hit costs an iteration
+        assert session.measure(cfg(Unroll("i", 2)))[1]
         assert session.iterations == 3 and session.unique_evaluations == 2
-        assert session.measure(cfg(Reverse("j")), phase=0) is None
+        assert session.measure(cfg(Reverse("j"))) is None
         assert session.stop_reason == "iterations"
 
     def test_best_prefers_higher_h_and_keeps_the_first_tie(self):
         times = {"": 1.0, "reverse(i)": 0.5, "unroll(i;2)": 0.5, "reverse(j)": 0.25}
         session = session_with(lambda c: Time(times[c.key]))
         session.evaluate_root()
-        session.measure(cfg(Reverse("i")), phase=0)
-        session.measure(cfg(Unroll("i", 2)), phase=0)  # ties; earlier record stays
+        session.measure(cfg(Reverse("i")))
+        session.measure(cfg(Unroll("i", 2)))  # ties; earlier record stays
         assert session.best.key == "reverse(i)"
-        session.measure(cfg(Reverse("j")), phase=0)
+        session.measure(cfg(Reverse("j")))
         assert session.best.key == "reverse(j)"
         assert session.best.h == 4.0
 
     def test_target_moves_on_every_success_cache_hits_included(self):
         session = session_with(halver)
-        target = TargetState(RewardParams(m=10))
-        root = session.evaluate_root(target)
+        target = session.target = TargetState(RewardParams(m=10))
+        root = session.evaluate_root()
         assert root.f == target.f == 1.0
-        record, _ = session.measure(cfg(Reverse("i")), phase=0, target=target)
+        record, _ = session.measure(cfg(Reverse("i")))
         assert record.f == target.f == 1.5  # mean of 1.0 and 2.0
-        again, fresh = session.measure(cfg(Reverse("i")), phase=0, target=target)
+        again, fresh = session.measure(cfg(Reverse("i")))
         assert not fresh and again.f == 1.5  # the record keeps its logged f
         assert target.f == pytest.approx(5.0 / 3.0)  # the hit's h entered the window
 
     def test_failures_leave_the_target_alone(self):
         session = session_with(lambda c: CompileFailure("no") if c.steps else Time(1.0))
-        target = TargetState(RewardParams())
-        session.evaluate_root(target)
-        record, _ = session.measure(cfg(Reverse("i")), phase=0, target=target)
+        target = session.target = TargetState(RewardParams())
+        session.evaluate_root()
+        record, _ = session.measure(cfg(Reverse("i")))
         assert record.f == target.f == 1.0
 
     def test_without_a_target_f_is_not_logged(self):
         session = session_with(halver)
+        assert session.target is None
         assert session.evaluate_root().f is None
-        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        record, _ = session.measure(cfg(Reverse("i")))
         assert record.f is None
 
     def test_best_is_the_logged_record(self):
         session = session_with(halver)
         session.evaluate_root()
-        record, _ = session.measure(cfg(Reverse("i")), phase=0)
+        record, _ = session.measure(cfg(Reverse("i")))
         assert session.best is record is session.records[-1]
         assert record.best_so_far_h == 2.0
         assert record.config == cfg(Reverse("i"))
@@ -233,14 +236,16 @@ class TestOutOfBudget:
 class TestLogging:
     def test_log_lines_carry_run_state(self):
         session = session_with(halver)
-        target = TargetState(RewardParams())
-        session.evaluate_root(target)
-        session.measure(cfg(Tile("i", 32)), phase=2, target=target)
+        session.target = TargetState(RewardParams())
+        session.evaluate_root()
+        session.phases = 3
+        session.measure(cfg(Tile("i", 32)))
         lines = session.records
         assert [l.key for l in lines] == ["", "tile(i;32;nopeel)"]
-        assert lines[0].f == 1.0
+        assert lines[0].f == 1.0 and lines[0].phase == 0
         line = lines[-1]
         assert line.method == "test"
+        assert line.phase == 2
         assert line.pragmas == ("#pragma clang loop tile sizes(32)",)
         assert line.f == 1.5  # the target after this update: mean of 1.0 and 2.0
         assert line.h == 2.0  # 1.0s baseline over 0.5s
@@ -269,7 +274,7 @@ class TestLogging:
     def test_read_back_records_have_no_config_and_still_compare_equal(self):
         session = session_with(halver)
         session.evaluate_root()
-        record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
+        record, _ = session.measure(cfg(Tile("i", 32)))
         back = record_from_dict(record.to_dict())
         assert back.config is None and record.config is not None
         assert back == record
@@ -278,7 +283,7 @@ class TestLogging:
     def test_a_log_line_holds_every_field_but_config_in_field_order(self, tmp_path):
         session = session_with(halver)
         session.evaluate_root()
-        record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
+        record, _ = session.measure(cfg(Tile("i", 32)))
         write_log([record], tmp_path / "log.jsonl")
         (back,) = read_log(tmp_path / "log.jsonl")
         names = [f.name for f in dataclasses.fields(EvalRecord) if f.name != "config"]
@@ -288,7 +293,7 @@ class TestLogging:
     def test_a_history_refuses_a_read_back_record(self):
         session = session_with(halver)
         root = session.evaluate_root()
-        record, _ = session.measure(cfg(Tile("i", 32)), phase=0)
+        record, _ = session.measure(cfg(Tile("i", 32)))
         assert quantile_split(ranked_history(session.records), 0.05)  # live records carry configs
         back = record_from_dict(record.to_dict())
         history = ranked_history([root])
