@@ -198,6 +198,16 @@ def is_floor_lineage(loop_id: str) -> bool:
     return all(part == "f" for part in loop_id.split(ID_SEP)[1:])
 
 
+def is_identifier(name: str) -> bool:
+    """True for an ASCII identifier: a document loop id, an array name, or a part of a loop id."""
+    return name.isascii() and name.isidentifier()
+
+
+def distinct_identifiers(names: tuple[str, ...]) -> bool:
+    """True when every name is an ASCII identifier and none repeats, as array names must be."""
+    return all(map(is_identifier, names)) and len(set(names)) == len(names)
+
+
 @dataclass(frozen=True)
 class _LoopEntry:
     """One loop entry of a nest document; its children are entries too."""
@@ -208,7 +218,7 @@ class _LoopEntry:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not (self.id.isascii() and self.id.isidentifier()):
+        if not is_identifier(self.id):
             raise ValueError(f"loop id must be an ASCII identifier: {self.id!r}")
 
 
@@ -219,9 +229,9 @@ class _NestDocument:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        names = self.arrays
-        if not all(a.isascii() and a.isidentifier() for a in names) or len(set(names)) < len(names):
-            raise ValueError(f"'arrays' must be ASCII identifiers, none repeated: {list(names)}")
+        if not distinct_identifiers(self.arrays):
+            names = list(self.arrays)
+            raise ValueError(f"'arrays' must be ASCII identifiers, none repeated: {names}")
 
 
 def _parsed_loop(doc: object, seen: set[str]) -> Loop:

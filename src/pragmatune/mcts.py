@@ -5,8 +5,8 @@ the accumulated history onto it (upper-tail paths reinforced, penalized
 lower-tail paths discouraged, no evaluations spent), learn a target
 depth from random walks, then iterate UCT selection at that depth until
 the phase converges or exhausts its per-phase evaluation budget. The
-history survives restarts; the tree does not, but the space nodes the
-last phase built (and their censuses) are handed to the next tree.
+history survives restarts, and so do the root's children (space nodes
+and their censuses); each ended tree dies one root subtree per playout.
 
 A restart pays for the tails it replays, not for the whole history: the
 search keeps its records ranked as they arrive (``RankedHistory``), so
@@ -74,30 +74,27 @@ class MctsParams:
 
 
 class _SpaceNodes:
-    """A run's root space node and the children built in this phase and the last.
+    """A run's root space node, the root's children, and the run's history.
 
-    Keyed by (parent space node, child index), by identity; a tree asks for
-    each key once. ``restart`` drops what the ended phase did not ask for.
-    ``history`` is the run's history: the root record, then every record a
-    playout measured fresh, each with the child-index path it walked.
+    Each phase asks for the root's children again, so they are kept for
+    the run; a deeper space node dies with the tree node that built it.
+    ``history`` holds the root record, then every record a playout
+    measured fresh, each with the child-index path it walked.
     """
 
-    __slots__ = ("root", "current", "previous", "history")
+    __slots__ = ("root", "children", "history")
 
     def __init__(self, root: space.SpaceNode):
         self.root = root
-        self.current: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
-        self.previous: dict[tuple[space.SpaceNode, int], space.SpaceNode] = {}
+        self.children: dict[int, space.SpaceNode] = {}
         self.history = RankedHistory()
 
     def child(self, parent: space.SpaceNode, index: int) -> space.SpaceNode:
-        key = (parent, index)
-        node = self.previous.get(key) or space.child(parent, index)
-        self.current[key] = node
-        return node
-
-    def restart(self) -> None:
-        self.previous, self.current = self.current, {}
+        if parent is not self.root:
+            return space.child(parent, index)
+        if index not in self.children:
+            self.children[index] = space.child(parent, index)
+        return self.children[index]
 
 
 class SearchNode:
@@ -333,10 +330,11 @@ def search(
     session.target = TargetState(reward_params)
     nodes = _SpaceNodes(root)
     nodes.history.add(session.evaluate_root(), ())
-    phase = 0
+    phase, tree = 0, None
     while not session.out_of_budget():
         session.phases = phase + 1
-        nodes.restart()
+        # No step frees the ended tree whole: one root subtree goes per main-loop playout.
+        ended_subtrees, path, leaf = tree._children if tree else {}, None, None
         tree = SearchNode(nodes.root, None, nodes)
         if tree.n_children == 0:
             session.stop_reason = "space_exhausted"
@@ -365,6 +363,8 @@ def search(
                     path.append(expand(leaf, rng_expand))
                 _descend(path, d_star, rng_walks)
                 measured = _playout(path, session)
+                if ended_subtrees:
+                    ended_subtrees.popitem()
                 if measured is None:
                     ended = "global_budget"
                     continue

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .errors import check_fields
+from .errors import DuplicateLoopIdError, NestParseError, check_fields
 from .loops import (
+    ID_SEP,
     Configuration,
     Interchange,
     LoopNest,
@@ -33,6 +34,8 @@ from .loops import (
     _chain_from,
     _collect_transformable,
     apply,
+    distinct_identifiers,
+    is_identifier,
     step_key,
 )
 
@@ -105,7 +108,22 @@ class SpaceNode:
 
 
 def root_node(nest: LoopNest, params: SpaceParams) -> SpaceNode:
-    """The space of ``nest`` bounded by ``params``; every node below shares them."""
+    """The space of ``nest`` bounded by ``params``; every node below shares them.
+
+    Loop ids are ASCII identifiers joined by ``ID_SEP`` and array names
+    ASCII identifiers, none repeated, so each configuration keeps a key of
+    its own, in Python-built nests too.
+    """
+    if not distinct_identifiers(nest.arrays):
+        names = list(nest.arrays)
+        raise NestParseError(f"array names must be ASCII identifiers, none repeated: {names}")
+    seen: set[str] = set()
+    for loop in nest.walk():
+        if not all(map(is_identifier, loop.id.split(ID_SEP))):
+            raise NestParseError(f"loop id parts must be ASCII identifiers: {loop.id!r}")
+        if loop.id in seen:
+            raise DuplicateLoopIdError(f"duplicate loop id {loop.id!r}")
+        seen.add(loop.id)
     return SpaceNode(Configuration(), params, nest)
 
 

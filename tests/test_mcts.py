@@ -545,21 +545,20 @@ class TestLazyTree:
         restarts = []
         census_phases = defaultdict(list)
 
-        def counting_restart(nodes, restart=mcts._SpaceNodes.restart):
-            restarts.append(nodes)
-            restart(nodes)
+        def counting_transfer(*args):
+            restarts.append(None)
+            return recording_transfer(*args)
 
         def recording_census(node, census=space._census):
             if node.census is None:
-                census_phases[node.key].append(len(restarts))
+                census_phases[node.depth, node.key].append(len(restarts))
             return census(node)
 
-        monkeypatch.setattr(mcts._SpaceNodes, "restart", counting_restart)
         monkeypatch.setattr(space, "_census", recording_census)
         monkeypatch.setattr(space, "_Census", CountingCensus)
         monkeypatch.setattr(space, "apply", counting_apply)
         monkeypatch.setattr(space, "child_index", counting_child_index)
-        monkeypatch.setattr(mcts, "apply_transfer", recording_transfer)
+        monkeypatch.setattr(mcts, "apply_transfer", counting_transfer)
 
         nest = chain_nest(3, arrays=("A", "B"))
         params = MctsParams(per_run_budget=60, n_walks=10)
@@ -578,12 +577,15 @@ class TestLazyTree:
         # A node's nest is built only when its children are counted: one
         # apply per counted non-root node, none for uncounted leaves.
         assert len(apply_calls) == len(census_nests) - 1
-        # A phase reuses the nodes the previous phase built, so no
-        # configuration's census is built in two consecutive phases.
+        # Every phase reuses the root's children, so a root child's census
+        # is built once per run; a deeper node's dies with its tree, so it
+        # is built at most once per phase, and some are built again.
         assert len(restarts) == phases
         assert sum(map(len, census_phases.values())) == len(census_nests)
-        for key, built in census_phases.items():
-            assert all(later - earlier > 1 for earlier, later in zip(built, built[1:])), key
+        for (depth, key), built in census_phases.items():
+            assert built == sorted(set(built)), key
+            assert depth > 1 or len(built) == 1, key
+        assert any(len(built) > 1 for (depth, _), built in census_phases.items() if depth > 1)
 
         # A replayed record's path is the one its history entry carries (the
         # root's is empty): no path is computed, and every later phase reuses it.
@@ -628,24 +630,75 @@ class TestLazyTree:
         assert child_index_calls == []
         assert transfer_censuses == []
 
-    def test_a_space_node_no_phase_asks_for_is_dropped_after_the_next_restart(self):
+    def test_a_root_child_lives_for_the_run_and_a_deeper_node_dies_with_its_tree(self):
         nodes = mcts._SpaceNodes(root_node(chain_nest(2), SMALL_SPACE))
         was_enabled = gc.isenabled()
         gc.disable()  # reference counting alone must free the node
         try:
-            dropped = weakref.ref(nodes.child(nodes.root, 0))
-            kept = nodes.child(nodes.root, 1)
-            nodes.restart()
-            # The next phase gets the last phase's nodes back, built.
-            assert nodes.child(nodes.root, 1) is kept
-            assert dropped() is not None
-            nodes.restart()
-            # That phase never asked for child 0, so it is gone now.
+            tree = SearchNode(nodes.root, None, nodes)
+            deep = mcts._get_or_create(mcts._get_or_create(tree, 1), 0)
+            kept, dropped = weakref.ref(deep._parent().space), weakref.ref(deep.space)
+            del tree, deep
+            # The tree is gone, and with it the space node below depth 1.
             assert dropped() is None
-            assert nodes.child(nodes.root, 1) is kept
+            # Later trees get the root child back, built, even after phases
+            # that never asked for it.
+            for asks in (False, False, True):
+                tree = SearchNode(nodes.root, None, nodes)
+                assert kept() is not None
+                if asks:
+                    assert mcts._get_or_create(tree, 1).space is kept()
+                    assert mcts._get_or_create(tree, 1).space.census is not None
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_an_ended_tree_is_freed_one_root_subtree_per_main_loop_playout(self, monkeypatch):
+        ended = []  # per phase, weakrefs to its tree's root children
+        main_loop = Counter()  # per phase, main-loop playouts begun
+        playout, transfer = mcts._playout, mcts.apply_transfer
+
+        def freed(phase):
+            return sum(ref() is None for ref in ended[phase])
+
+        def spy(path, session):
+            phase = session.phases - 1
+            if phase and sys._getframe(1).f_code.co_name != "learn_depth":
+                main_loop[phase] += 1
+                # Before its k-th main-loop playout, a phase has freed k - 1
+                # of the ended tree's root subtrees, and at most all of them.
+                assert freed(phase - 1) == min(main_loop[phase] - 1, len(ended[phase - 1]))
+            measured = playout(path, session)
+            # This phase's entry, appended at its first playout.
+            ended[phase:] = [[weakref.ref(child) for child in path[0]._children.values()]]
+            return measured
+
+        def checking_transfer(tree, *args):
+            # A restart frees nothing of the tree that just ended, and finds
+            # no tree before it alive.
+            assert all(freed(phase) == len(refs) for phase, refs in enumerate(ended[:-1]))
+            assert ended == [] or freed(len(ended) - 1) == 0
+            return transfer(tree, *args)
+
+        monkeypatch.setattr(mcts, "_playout", spy)
+        monkeypatch.setattr(mcts, "apply_transfer", checking_transfer)
+        was_enabled = gc.isenabled()
+        gc.disable()  # reference counting alone must free the tree
+        try:
+            session = make_session(SyntheticLandscape(seed=1), max_unique=600)
+            params = MctsParams(per_run_budget=30, n_walks=10)
+            nest = chain_nest(3, arrays=("A", "B"))
+            rngs = random.Random(1), random.Random(2)
+            search(session, root_node(nest, SpaceParams()), DEFAULT_REWARD, params, *rngs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert session.phases == len(ended)
+        # Some phase freed all of its ended tree, and some restart freed
+        # what a short phase left of one.
+        counts = [(main_loop[phase + 1], len(refs)) for phase, refs in enumerate(ended[:-1])]
+        assert any(playouts >= children > 1 for playouts, children in counts)
+        assert any(playouts < children for playouts, children in counts[:-1])
 
     @settings(max_examples=40)
     @given(st.randoms(use_true_random=True))

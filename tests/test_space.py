@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragmatune import space
-from pragmatune.errors import InvalidTargetError
+from pragmatune.errors import DuplicateLoopIdError, InvalidTargetError, NestParseError
 from pragmatune.loops import (
     Configuration,
     Interchange,
@@ -218,6 +218,30 @@ class TestLevelCounts:
     def test_stops_after_empty_level(self):
         nest = LoopNest((Loop("i", transformable=False),))
         assert level_counts(root_node(nest, SpaceParams()), 4) == [(0, 1), (1, 0)]
+
+
+class TestRootNodeIds:
+    def test_a_python_built_nest_is_held_to_the_identifier_rule(self):
+        # Reversing the third loop would give the key of reversing x, then y.
+        nest = LoopNest((Loop("x"), Loop("y"), Loop("x)|reverse(y")))
+        with pytest.raises(NestParseError, match="ASCII identifiers: 'x\\)\\|reverse"):
+            root_node(nest, SpaceParams())
+        with pytest.raises(NestParseError):
+            root_node(LoopNest((Loop("i."),)), SpaceParams())
+        # Packing A, then reversing i, would share a key with packing the second array.
+        for arrays in (("A", "A)|reverse(i"), ("A", "A")):
+            with pytest.raises(NestParseError, match="array names"):
+                root_node(LoopNest((Loop("i"),), arrays), SpaceParams())
+
+    def test_a_repeated_id_is_rejected(self):
+        nest = LoopNest((Loop("i", (Loop("j"),)), Loop("j")))
+        with pytest.raises(DuplicateLoopIdError, match="'j'"):
+            root_node(nest, SpaceParams())
+
+    def test_tiled_ids_pass_part_by_part(self):
+        tiled = apply(chain_nest(2), Tile("i0", 4))
+        assert {loop.id for loop in tiled.walk()} == {"i0.f", "i1.f", "i0.t", "i1.t"}
+        assert child_count(root_node(tiled, SpaceParams())) > 0
 
 
 class TestSpaceParams:
